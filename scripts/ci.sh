@@ -47,10 +47,12 @@ echo "== snapshot fault lane (delay/stall sites only)"
 # these tests assert exact counters — which abort-injecting sites (txn_open,
 # txn_commit, heap_alloc) would clobber with spurious retries. Injecting
 # only the delay sites keeps the counters exact while widening the races
-# the churn/publish paths run through. The explorer test is excluded: its
-# golden replay tokens depend on deterministic event streams.
+# the churn/publish paths run through; publish_stall parks committers
+# between ticket and done mark, so commits complete out of ticket order.
+# The explorer test is excluded: its golden replay tokens depend on
+# deterministic event streams.
 (cd build && \
-  SATM_FAULTS="seed=11,barrier_delay=0.01:800,quiesce_stall=0.05:400" \
+  SATM_FAULTS="seed=11,barrier_delay=0.01:800,quiesce_stall=0.05:400,publish_stall=0.05:400" \
   ctest --output-on-failure -j "$JOBS" \
   -R "snapshot_txn_test|kv_snapshot_store_test")
 
@@ -63,7 +65,7 @@ FAULT_TESTS="barriers_test|lazy_txn_test|quiesce_test|workloads_test|kv_stress_t
 for SPEC in \
   "seed=1,txn_open=0.02,txn_commit=0.02" \
   "seed=7,txn_open=0.05,lazy_open=0.05,lazy_commit=0.05" \
-  "seed=42,barrier_delay=0.01:800,quiesce_stall=0.05:400"; do
+  "seed=42,barrier_delay=0.01:800,quiesce_stall=0.05:400,publish_stall=0.05:400"; do
   echo "-- SATM_FAULTS=$SPEC"
   (cd build && SATM_FAULTS="$SPEC" ctest --output-on-failure -j "$JOBS" \
     -R "$FAULT_TESTS")

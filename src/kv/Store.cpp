@@ -12,6 +12,7 @@
 #include "stm/Snapshot.h"
 #include "stm/Txn.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace satm;
@@ -106,10 +107,16 @@ Store::Store(rt::Heap &Heap, const StoreConfig &C) : H(Heap) {
 
 void Store::pushRetired(uint32_t Shard, rt::Object *V, uint32_t Slot) {
   using stm::Quiescence;
+  // The unlinking commit has completed but may sit above the stable
+  // frontier (an earlier ticket still running), so the frontier alone
+  // would let a reader pinned below the unlink — one that still reaches
+  // V through the index — watch V get recycled for another key. Its own
+  // ticket is the true horizon.
+  const uint64_t Stable = std::max(Quiescence::snapshotStable(),
+                                   Quiescence::ownLastTicket());
   ShardPool &P = *Pools[Shard];
   std::lock_guard<std::mutex> Lock(P.Mutex);
-  P.Queue.push_back(
-      {V, Slot, Quiescence::currentEpoch(), Quiescence::snapshotStable()});
+  P.Queue.push_back({V, Slot, Quiescence::currentEpoch(), Stable});
 }
 
 bool Store::popRecycled(uint32_t Shard, RetiredRecord &Out) {
@@ -435,7 +442,7 @@ OpStatus Store::erase(Word Key, const OpBudget &B) {
     // becomes unreachable from the index at commit and parks in the
     // shard's retire pool for epoch-gated recycling. The park runs
     // post-commit (discarded on abort), when the retirement horizon —
-    // current epoch and stable snapshot ticket — is final.
+    // current epoch and the unlinking commit's publish ticket — is final.
     Tx.writeRef(S.Vals, uint32_t(Slot), nullptr);
     Tx.onCommit([this, Shard, V, Slot = uint32_t(Slot)] {
       ValueRetired.fetch_add(1, std::memory_order_relaxed);

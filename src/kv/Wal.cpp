@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -75,6 +76,57 @@ void ioFatal(const char *What, const std::string &Path) {
   std::abort();
 }
 
+/// Writes \p Size bytes at \p P to \p Fd, retrying short writes and
+/// EINTR. \p Off reports how far it got; false on a write error.
+bool writeFully(int Fd, const void *P, size_t Size, size_t &Off) {
+  const uint8_t *Bytes = static_cast<const uint8_t *>(P);
+  for (Off = 0; Off < Size;) {
+    ssize_t N = ::write(Fd, Bytes + Off, Size - Off);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    Off += size_t(N);
+  }
+  return true;
+}
+
+/// Records per read in truncateBelow's copy. Copying in chunks keeps a
+/// rotation's memory flat: a hot shard's file can run to tens of MB.
+constexpr size_t CopyChunkRecords = 4096;
+
+/// Copies the whole records of \p In from byte \p InOff onward that lie
+/// above \p Barrier to \p Out, a chunk at a time, advancing \p InOff and
+/// adding the skipped bytes to \p Dropped. A record still being appended
+/// at the end is left for the next call. False on an I/O error.
+bool copyAboveBarrier(int In, uint64_t &InOff, int Out, uint64_t Barrier,
+                      std::vector<WalRecord> &Chunk, uint64_t &Dropped) {
+  for (;;) {
+    ssize_t N = ::pread(In, Chunk.data(), Chunk.size() * sizeof(WalRecord),
+                        off_t(InOff));
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    const size_t Whole = size_t(N) / sizeof(WalRecord);
+    if (Whole == 0)
+      return true;
+    size_t Kept = 0;
+    for (size_t I = 0; I < Whole; ++I) {
+      if (Chunk[I].Lsn > Barrier)
+        Chunk[Kept++] = Chunk[I];
+      else
+        Dropped += sizeof(WalRecord);
+    }
+    size_t Off;
+    if (!writeFully(Out, Chunk.data(), Kept * sizeof(WalRecord), Off))
+      return false;
+    InOff += Whole * sizeof(WalRecord);
+  }
+}
+
 } // namespace
 
 uint64_t Wal::lastAppendedLsn() { return TlsLastAppendedLsn; }
@@ -86,19 +138,15 @@ std::string Wal::shardFile(uint32_t Shard) const {
 }
 
 Wal::Wal(const Config &C) : Cfg(C) {
-  assert((Cfg.RingSlots & (Cfg.RingSlots - 1)) == 0 && "ring is power of two");
-  if (Cfg.DrainThreads == 0)
-    Cfg.DrainThreads = 1;
+  assert((Cfg.RingSlots & (Cfg.RingSlots - 1)) == 0 && "log is power of two");
   std::error_code Ec;
   std::filesystem::create_directories(Cfg.Dir, Ec); // Pre-existing is fine.
-  Rings = std::vector<Ring>(Cfg.Shards);
-  for (auto &R : Rings)
-    R.Buf = std::make_unique<WalRecord[]>(Cfg.RingSlots);
+  Logs = std::make_unique<std::atomic<CommitterLog *>[]>(
+      stm::Quiescence::MaxThreads);
   Fds.assign(Cfg.Shards, -1);
   FileLocks.resize(Cfg.Shards);
   for (auto &M : FileLocks)
     M = std::make_unique<std::mutex>();
-  ThreadCut.assign(Cfg.DrainThreads, 0);
 }
 
 Wal::~Wal() {
@@ -106,6 +154,8 @@ Wal::~Wal() {
   for (int Fd : Fds)
     if (Fd >= 0)
       ::close(Fd);
+  for (unsigned I = 0; I < stm::Quiescence::MaxThreads; ++I)
+    delete Logs[I].load(std::memory_order_relaxed);
 }
 
 void Wal::start() {
@@ -126,8 +176,8 @@ void Wal::start() {
     ::close(DirFd);
   }
   // A restart of the same instance continues past everything it already
-  // published (the rings are empty here: stop() drained them).
-  LastLsn = std::max(LastLsn, PublishedLsn.load(std::memory_order_relaxed));
+  // logged (the logs are empty here: stop() drained them).
+  LastLsn = std::max(LastLsn, DrainedLsn);
   // Derive the LSN base from the *live* ticket counter, not from an
   // assumed fresh-process value: recovery replay under SnapshotEnabled,
   // pre-attach prepopulation, and earlier runs in this process all
@@ -136,13 +186,10 @@ void Wal::start() {
   // Unsigned wrap-around in the subtraction is fine — append computes
   // BaseLsn + Ticket, which unwraps it.
   BaseLsn = LastLsn - stm::Quiescence::lastPublishTicket();
-  PublishedLsn.store(LastLsn, std::memory_order_relaxed);
   DurableLsn.store(LastLsn, std::memory_order_relaxed);
-  ThreadCut.assign(Cfg.DrainThreads, LastLsn);
   Stopping.store(false, std::memory_order_relaxed);
   Started = true;
-  for (unsigned T = 0; T < Cfg.DrainThreads; ++T)
-    Drainers.emplace_back([this, T] { drainLoop(T); });
+  Drainer = std::thread([this] { drainLoop(); });
 }
 
 void Wal::stop() {
@@ -153,9 +200,7 @@ void Wal::stop() {
     Stopping.store(true, std::memory_order_release);
   }
   DrainCv.notify_all();
-  for (auto &T : Drainers)
-    T.join();
-  Drainers.clear();
+  Drainer.join();
   Started = false;
 }
 
@@ -163,53 +208,51 @@ void Wal::stop() {
 // Commit side (publish window).
 //===----------------------------------------------------------------------===
 
+Wal::CommitterLog &Wal::logForThisThread() {
+  // Only the slot's owner stores its pointer; an earlier owner's store
+  // reached us through the slot registry's hand-off.
+  std::atomic<CommitterLog *> &P =
+      Logs[stm::Quiescence::slotIndexForThisThread()];
+  CommitterLog *L = P.load(std::memory_order_relaxed);
+  if (!L) {
+    L = new CommitterLog(Cfg.RingSlots);
+    P.store(L, std::memory_order_release);
+  }
+  return *L;
+}
+
 void Wal::append(uint32_t Shard, WalOp Op, Word Key, Word Val,
                  uint64_t Ticket, uint32_t Index, uint32_t Count) {
   assert(Started && "append on a stopped wal");
   if (faultPoint(FaultSite::LogAppend))
     faultSpin(FaultInjector::arg(FaultSite::LogAppend));
   const uint64_t Lsn = BaseLsn + Ticket;
+  TlsLastAppendedLsn = Lsn;
+  CommitterLog &L = logForThisThread();
+  L.Appended.store(L.Appended.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
   if (DegradedFlag.load(std::memory_order_acquire)) {
-    // Sealed log: commits keep flowing, but feeding the rings would only
-    // queue records no drainer will ever make durable. Keep the LSN
-    // bookkeeping honest (PublishedLsn stays monotone for a later
-    // stop()/start(); the per-thread LSN still routes the committer to
-    // waitDurable, which reports the loss) and count the drop.
-    StatAppends.fetch_add(1, std::memory_order_relaxed);
+    // Sealed log: commits keep flowing, but feeding the logs would only
+    // queue records no drainer will ever make durable. The per-thread LSN
+    // still routes the committer to waitDurable, which reports the loss.
     StatDroppedRecords.fetch_add(1, std::memory_order_relaxed);
-    TlsLastAppendedLsn = Lsn;
-    if (Index + 1 == Count)
-      PublishedLsn.store(Lsn, std::memory_order_release);
     return;
   }
-  Ring &R = Rings[Shard];
   const uint32_t Mask = Cfg.RingSlots - 1;
-  uint64_t H = R.Head.load(std::memory_order_relaxed);
-  // Backpressure: wait for the drainer, never overwrite. This is the one
-  // blocking wait allowed in the publish window — it is on an I/O thread
-  // that holds no publish ticket and no STM state, so it cannot close a
-  // wait cycle through the publish order (see Wal.h).
-  if (H - R.Tail.load(std::memory_order_acquire) >= Cfg.RingSlots) {
+  const uint64_t H = L.Head.load(std::memory_order_relaxed);
+  // Backpressure: wait for the drainer, never overwrite. The drainer
+  // always empties the log of the lowest undone ticket, so this wait
+  // cannot close a cycle through the publish order (see Wal.h).
+  if (H - L.Tail.load(std::memory_order_acquire) >= Cfg.RingSlots) {
     StatRingStalls.fetch_add(1, std::memory_order_relaxed);
     DrainCv.notify_one();
     Backoff B;
-    while (H - R.Tail.load(std::memory_order_acquire) >= Cfg.RingSlots)
+    while (H - L.Tail.load(std::memory_order_acquire) >= Cfg.RingSlots)
       B.pause();
   }
-  WalRecord &Rec = R.Buf[H & Mask];
-  Rec.Lsn = Lsn;
-  Rec.Meta = WalRecord::packMeta(Op, Index, Count);
-  Rec.Key = Key;
-  Rec.Val = Val;
-  Rec.Check = Rec.checksum();
-  R.Head.store(H + 1, std::memory_order_release);
-  StatAppends.fetch_add(1, std::memory_order_relaxed);
-  TlsLastAppendedLsn = Lsn;
-  // The group becomes drainable only once its last record is in a ring:
-  // a drain cut at this LSN must never fsync-ack a half-appended
-  // transaction (waitDurable would then ack a write recovery drops).
-  if (Index + 1 == Count)
-    PublishedLsn.store(Lsn, std::memory_order_release);
+  L.Buf[H & Mask] = {Lsn, WalRecord::packMeta(Op, Index, Count), Key, Val,
+                     Shard};
+  L.Head.store(H + 1, std::memory_order_release);
 }
 
 void Wal::publishHook(void *Ctx, uint64_t Ticket, uint32_t Index,
@@ -223,9 +266,9 @@ void Wal::publishHook(void *Ctx, uint64_t Ticket, uint32_t Index,
 // Drain side (group commit).
 //===----------------------------------------------------------------------===
 
-void Wal::drainLoop(unsigned ThreadIndex) {
-  std::vector<uint8_t> Scratch;
-  std::vector<uint32_t> DirtyShards;
+void Wal::drainLoop() {
+  DrainScratch D;
+  D.ShardBuf.resize(Cfg.Shards);
   for (;;) {
     {
       std::unique_lock<std::mutex> Lock(WaitMutex);
@@ -235,92 +278,134 @@ void Wal::drainLoop(unsigned ThreadIndex) {
                                 SyncWaitersPending > 0;
                        });
     }
-    bool Last = Stopping.load(std::memory_order_acquire);
-    drainCycle(ThreadIndex, Scratch, DirtyShards);
-    if (Last)
-      return; // Final cycle ran after Stopping was visible: rings empty.
+    if (Stopping.load(std::memory_order_acquire))
+      break;
+    drainCycle(D);
   }
+  // Final drain: every ticket issued before stop() must reach the
+  // frontier, so each of their records is at or below the last cut. Keep
+  // draining meanwhile — a straggling committer may be waiting on its log.
+  const uint64_t Last = stm::Quiescence::lastPublishTicket();
+  Backoff B;
+  while (stm::Quiescence::snapshotStable() < Last) {
+    drainCycle(D);
+    B.pause();
+  }
+  drainCycle(D);
 }
 
-void Wal::drainCycle(unsigned ThreadIndex, std::vector<uint8_t> &Scratch,
-                     std::vector<uint32_t> &DirtyShards) {
-  // The cut is read *before* draining: every record with LSN <= Cut was
-  // fully ring-published at that moment (PublishedLsn advances only after
-  // a transaction's last record, and the publish window serializes
-  // groups), so emptying the rings below captures all of them.
-  const uint64_t Cut = PublishedLsn.load(std::memory_order_acquire);
-  bool Degraded = DegradedFlag.load(std::memory_order_acquire);
-  DirtyShards.clear();
-  for (uint32_t S = ThreadIndex; S < Cfg.Shards; S += Cfg.DrainThreads) {
-    Ring &R = Rings[S];
-    uint64_t T = R.Tail.load(std::memory_order_relaxed);
-    const uint64_t H = R.Head.load(std::memory_order_acquire);
-    if (T == H)
+void Wal::drainCycle(DrainScratch &D) {
+  // The frontier is read *before* the log heads: every ticket at or below
+  // it appended all of its records before marking itself done, so the
+  // heads read below cover them. The lowest undone ticket (Cut + 1)
+  // drains too, possibly in part: every record before it is in this
+  // cycle, its later records have higher indices, and it can then never
+  // be stuck behind a full log of its own group. Durability still
+  // advances only to Cut.
+  const uint64_t Cut = BaseLsn + stm::Quiescence::snapshotStable();
+  const uint64_t Limit = Cut + 1;
+  const uint32_t Mask = Cfg.RingSlots - 1;
+  D.Cursors.clear();
+  D.Heap.clear();
+  const unsigned NumLogs =
+      std::min(stm::Quiescence::peakSlots(), stm::Quiescence::MaxThreads);
+  for (unsigned I = 0; I < NumLogs; ++I) {
+    CommitterLog *L = Logs[I].load(std::memory_order_acquire);
+    if (!L)
       continue;
-    Scratch.clear();
-    const uint32_t Mask = Cfg.RingSlots - 1;
-    for (; T != H; ++T) {
-      const WalRecord &Rec = R.Buf[T & Mask];
-      const uint8_t *P = reinterpret_cast<const uint8_t *>(&Rec);
-      Scratch.insert(Scratch.end(), P, P + sizeof(WalRecord));
+    const uint64_t T = L->Tail.load(std::memory_order_relaxed);
+    const uint64_t H = L->Head.load(std::memory_order_acquire);
+    D.Cursors.push_back({L, T, H});
+    if (T != H && L->Buf[T & Mask].Lsn <= Limit)
+      D.Heap.push_back({L->Buf[T & Mask].Lsn, D.Cursors.size() - 1});
+  }
+
+  // K-way merge by LSN into the shard buffers. Each log is LSN-ordered and
+  // holds a group's records contiguously, so the merge moves one whole
+  // group at a time from the log with the smallest head LSN.
+  const auto MinFirst = std::greater<DrainScratch::HeapItem>();
+  std::make_heap(D.Heap.begin(), D.Heap.end(), MinFirst);
+  D.Dirty.clear();
+  while (!D.Heap.empty()) {
+    std::pop_heap(D.Heap.begin(), D.Heap.end(), MinFirst);
+    const auto [Lsn, C] = D.Heap.back();
+    D.Heap.pop_back();
+    DrainScratch::Cursor &Cur = D.Cursors[C];
+    for (; Cur.Pos != Cur.End; ++Cur.Pos) {
+      const LogEntry &E = Cur.Log->Buf[Cur.Pos & Mask];
+      if (E.Lsn != Lsn)
+        break;
+      std::vector<WalRecord> &Buf = D.ShardBuf[E.Shard];
+      if (Buf.empty())
+        D.Dirty.push_back(uint32_t(E.Shard));
+      WalRecord &R = Buf.emplace_back();
+      R.Lsn = E.Lsn;
+      R.Meta = E.Meta;
+      R.Key = E.Key;
+      R.Val = E.Val;
+      R.Check = R.checksum();
     }
-    // Degraded: keep consuming (producers must never stall on a ring no
-    // one will drain) but discard — the log is sealed and these records
-    // will never be fsync-acked.
-    if (Degraded) {
-      R.Tail.store(T, std::memory_order_release);
-      StatDroppedRecords.fetch_add(Scratch.size() / sizeof(WalRecord),
-                                   std::memory_order_relaxed);
-      continue;
-    }
-    // Injected disk-full: the shard write fails as if write(2) returned
-    // ENOSPC. Real write errors take the same path — degrade, not abort.
-    if (faultPoint(FaultSite::LogEnospc)) {
-      errno = ENOSPC;
-      enterDegraded("write", shardFile(S));
-      Degraded = true;
-      R.Tail.store(T, std::memory_order_release);
-      StatDroppedRecords.fetch_add(Scratch.size() / sizeof(WalRecord),
-                                   std::memory_order_relaxed);
-      continue;
-    }
-    size_t Off = 0;
-    bool WriteOk = true;
-    {
-      std::lock_guard<std::mutex> FLock(*FileLocks[S]);
-      while (Off < Scratch.size()) {
-        ssize_t N =
-            ::write(Fds[S], Scratch.data() + Off, Scratch.size() - Off);
-        if (N < 0) {
-          if (errno == EINTR)
-            continue;
-          WriteOk = false;
-          break;
-        }
-        Off += size_t(N);
+    DrainedLsn = std::max(DrainedLsn, Lsn);
+    if (Cur.Pos != Cur.End) {
+      const uint64_t Next = Cur.Log->Buf[Cur.Pos & Mask].Lsn;
+      if (Next <= Limit) {
+        D.Heap.push_back({Next, C});
+        std::push_heap(D.Heap.begin(), D.Heap.end(), MinFirst);
       }
     }
-    R.Tail.store(T, std::memory_order_release);
+  }
+  // Everything taken is copied out: hand the space back to the committers
+  // before the (slow) writes and fsyncs.
+  for (const DrainScratch::Cursor &Cur : D.Cursors)
+    Cur.Log->Tail.store(Cur.Pos, std::memory_order_release);
+
+  bool Degraded = DegradedFlag.load(std::memory_order_acquire);
+  uint64_t Written = 0, Dropped = 0;
+  size_t NumWritten = 0; // D.Dirty's prefix of shards written this cycle.
+  for (uint32_t S : D.Dirty) {
+    std::vector<WalRecord> &Buf = D.ShardBuf[S];
+    // Degraded: keep consuming (producers must never stall on a log no one
+    // will drain) but discard — the log is sealed and these records will
+    // never be fsync-acked.
+    if (Degraded) {
+      Dropped += Buf.size();
+      Buf.clear();
+      continue;
+    }
+    const size_t Size = Buf.size() * sizeof(WalRecord);
+    // Injected disk-full: the shard write fails as if write(2) returned
+    // ENOSPC. Real write errors take the same path — degrade, not abort.
+    size_t Off = 0;
+    bool WriteOk;
+    if (faultPoint(FaultSite::LogEnospc)) {
+      errno = ENOSPC;
+      WriteOk = false;
+    } else {
+      std::lock_guard<std::mutex> FLock(*FileLocks[S]);
+      WriteOk = writeFully(Fds[S], Buf.data(), Size, Off);
+    }
+    Buf.clear();
     if (!WriteOk) {
       enterDegraded("write", shardFile(S));
       Degraded = true;
-      StatDroppedRecords.fetch_add(
-          (Scratch.size() - Off + sizeof(WalRecord) - 1) / sizeof(WalRecord),
-          std::memory_order_relaxed);
+      Dropped += (Size - Off + sizeof(WalRecord) - 1) / sizeof(WalRecord);
       continue;
     }
-    StatRecordsWritten.fetch_add(Scratch.size() / sizeof(WalRecord),
-                                 std::memory_order_relaxed);
-    StatBytesWritten.fetch_add(Scratch.size(), std::memory_order_relaxed);
-    DirtyShards.push_back(S);
+    Written += Size / sizeof(WalRecord);
+    D.Dirty[NumWritten++] = S;
   }
-  if (!DirtyShards.empty() && !Degraded) {
+  D.Dirty.resize(NumWritten);
+  StatRecordsWritten.fetch_add(Written, std::memory_order_relaxed);
+  StatBytesWritten.fetch_add(Written * sizeof(WalRecord),
+                             std::memory_order_relaxed);
+  StatDroppedRecords.fetch_add(Dropped, std::memory_order_relaxed);
+  if (!D.Dirty.empty() && !Degraded) {
     // Group commit: one fsync per dirty shard file covers every record
     // that accumulated since the previous cycle; untouched files are
     // skipped (an fsync can cost a device cache flush even when clean).
     if (faultPoint(FaultSite::LogFsync))
       faultSpin(FaultInjector::arg(FaultSite::LogFsync));
-    for (uint32_t S : DirtyShards) {
+    for (uint32_t S : D.Dirty) {
       std::lock_guard<std::mutex> FLock(*FileLocks[S]);
       if (::fsync(Fds[S]) < 0) {
         enterDegraded("fsync", shardFile(S));
@@ -331,19 +416,15 @@ void Wal::drainCycle(unsigned ThreadIndex, std::vector<uint8_t> &Scratch,
     if (!Degraded)
       StatFsyncBatches.fetch_add(1, std::memory_order_relaxed);
   }
-  // Advance durability to the minimum cut over all drain threads — even
-  // on an idle cycle (an empty ring means this thread's shards were
-  // already durable up to Cut). Never while degraded: a failed write or
-  // fsync anywhere this cycle means Cut was not honestly reached, and
-  // DurableLsn stays frozen at the last cut that was.
+  // Advance durability to the cut — even on an idle cycle (nothing to
+  // write means every record at or below Cut was already durable). Never
+  // while degraded: a failed write or fsync anywhere this cycle means Cut
+  // was not honestly reached, and DurableLsn stays frozen at the last cut
+  // that was.
   if (!Degraded) {
     std::lock_guard<std::mutex> Lock(WaitMutex);
-    ThreadCut[ThreadIndex] = std::max(ThreadCut[ThreadIndex], Cut);
-    uint64_t Min = ThreadCut[0];
-    for (uint64_t C : ThreadCut)
-      Min = std::min(Min, C);
-    if (Min > DurableLsn.load(std::memory_order_relaxed))
-      DurableLsn.store(Min, std::memory_order_release);
+    if (Cut > DurableLsn.load(std::memory_order_relaxed))
+      DurableLsn.store(Cut, std::memory_order_release);
   }
   DurableCv.notify_all();
 }
@@ -397,7 +478,9 @@ DurableWait Wal::waitDurable(uint64_t Lsn,
 
 WalStats Wal::stats() const {
   WalStats S;
-  S.RecordsAppended = StatAppends.load(std::memory_order_relaxed);
+  for (unsigned I = 0; I < stm::Quiescence::MaxThreads; ++I)
+    if (const CommitterLog *L = Logs[I].load(std::memory_order_acquire))
+      S.RecordsAppended += L->Appended.load(std::memory_order_relaxed);
   S.RingStalls = StatRingStalls.load(std::memory_order_relaxed);
   S.FsyncBatches = StatFsyncBatches.load(std::memory_order_relaxed);
   S.RecordsWritten = StatRecordsWritten.load(std::memory_order_relaxed);
@@ -413,7 +496,7 @@ WalStats Wal::stats() const {
 
 uint64_t Wal::truncateBelow(uint64_t Barrier) {
   assert(Started && "truncateBelow serves the live checkpointer");
-  // Only durable prefixes may be dropped: a record still in a ring (or
+  // Only durable prefixes may be dropped: a record still in a log (or
   // never fsynced at all) below the barrier would otherwise vanish from
   // both the log and the next recovery. A degraded log skips rotation
   // entirely — its files are frozen evidence.
@@ -422,66 +505,57 @@ uint64_t Wal::truncateBelow(uint64_t Barrier) {
     return 0;
   uint64_t Removed = 0;
   bool Rotated = false;
+  std::vector<WalRecord> Chunk(CopyChunkRecords);
   for (uint32_t S = 0; S < Cfg.Shards; ++S) {
-    std::lock_guard<std::mutex> FLock(*FileLocks[S]);
     const std::string Path = shardFile(S);
-    // Read the current shard file and keep only the beyond-barrier
-    // suffix. The file is record-aligned while the log is healthy (only
-    // the drainer writes it, whole records at a time).
-    std::vector<uint8_t> Keep;
-    uint64_t Dropped = 0;
-    {
-      FILE *F = std::fopen(Path.c_str(), "rb");
-      if (!F)
-        continue;
-      WalRecord Rec;
-      while (std::fread(&Rec, 1, sizeof(Rec), F) == sizeof(Rec)) {
-        if (Rec.Lsn > Barrier) {
-          const uint8_t *P = reinterpret_cast<const uint8_t *>(&Rec);
-          Keep.insert(Keep.end(), P, P + sizeof(Rec));
-        } else {
-          Dropped += sizeof(WalRecord);
-        }
-      }
-      std::fclose(F);
-    }
-    if (Dropped == 0)
+    int In = ::open(Path.c_str(), O_RDONLY);
+    if (In < 0)
       continue;
+    // Shard files are (Lsn, Index)-monotone, so the records at or below
+    // the barrier are a prefix: nothing to drop if the first is above it.
+    WalRecord First;
+    if (::pread(In, &First, sizeof(First), 0) != ssize_t(sizeof(First)) ||
+        First.Lsn > Barrier) {
+      ::close(In);
+      continue;
+    }
     // Write-temp → fsync → rename-over → reopen the append fd on the new
-    // inode. Any failure abandons this shard's rotation (the old file
-    // and fd stay authoritative) — except a post-rename reopen failure,
-    // which would silently route appends to a dead inode and so seals
-    // the log instead.
+    // inode. The bulk copy runs without the shard lock — the drainer keeps
+    // appending whole records meanwhile, so a rotation never stalls the
+    // log for a whole file's worth of I/O — and the lock covers only the
+    // catch-up on what it appended since, the fsync and the swap. Any
+    // failure abandons this shard's rotation (the old file and fd stay
+    // authoritative) — except a post-rename reopen failure, which would
+    // silently route appends to a dead inode and so seals the log instead.
     const std::string Tmp = Path + ".tmp";
-    int TFd = ::open(Tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    if (TFd < 0)
+    int Out = ::open(Tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+    if (Out < 0) {
+      ::close(In);
       continue;
-    bool Ok = true;
-    size_t Off = 0;
-    while (Off < Keep.size()) {
-      ssize_t N = ::write(TFd, Keep.data() + Off, Keep.size() - Off);
-      if (N < 0) {
-        if (errno == EINTR)
-          continue;
-        Ok = false;
-        break;
+    }
+    uint64_t InOff = 0, Dropped = 0;
+    bool Ok = copyAboveBarrier(In, InOff, Out, Barrier, Chunk, Dropped) &&
+              ::fsync(Out) == 0;
+    {
+      std::lock_guard<std::mutex> FLock(*FileLocks[S]);
+      // With the lock held no write is in flight: the file is record-
+      // aligned and the catch-up copy reaches its true end.
+      Ok = Ok && copyAboveBarrier(In, InOff, Out, Barrier, Chunk, Dropped) &&
+           ::fsync(Out) == 0;
+      ::close(Out);
+      ::close(In);
+      if (!Ok || ::rename(Tmp.c_str(), Path.c_str()) < 0) {
+        ::unlink(Tmp.c_str());
+        continue;
       }
-      Off += size_t(N);
+      int NFd = ::open(Path.c_str(), O_WRONLY | O_APPEND);
+      if (NFd < 0) {
+        enterDegraded("reopen", Path);
+        return Removed;
+      }
+      ::close(Fds[S]);
+      Fds[S] = NFd;
     }
-    if (Ok && ::fsync(TFd) < 0)
-      Ok = false;
-    ::close(TFd);
-    if (!Ok || ::rename(Tmp.c_str(), Path.c_str()) < 0) {
-      ::unlink(Tmp.c_str());
-      continue;
-    }
-    int NFd = ::open(Path.c_str(), O_WRONLY | O_APPEND);
-    if (NFd < 0) {
-      enterDegraded("reopen", Path);
-      return Removed;
-    }
-    ::close(Fds[S]);
-    Fds[S] = NFd;
     Removed += Dropped;
     Rotated = true;
   }

@@ -9,20 +9,29 @@
 /// group commit, batched fsync, and shard-parallel crash recovery
 /// (ROADMAP item 1; DESIGN.md §12).
 ///
-/// Ordering. Committing transactions publish fixed-format redo records
-/// into per-shard in-memory rings *inside the snapshot publish window* —
-/// between Quiescence::waitPublishTurn and completePublish — where the
-/// committer is globally unique in the publish order. Log order therefore
-/// equals the snapshot plane's commit order by construction: no log-side
-/// CAS, no sequencer, no multi-producer races. The hand-off to the drain
-/// thread is privatization-shaped (the ring slot passes from the
-/// transactional world to an I/O thread); the release store that bumps
-/// the ring head is the only barrier it needs, because the drainer never
-/// touches STM state. The publish window's non-blocking invariant
-/// (Quiesce.h) is preserved in the sense that matters for deadlock
-/// freedom: an append can wait only on the drain thread (ring full), and
-/// the drain thread never takes a publish ticket or any STM resource, so
-/// no wait cycle through the publish order can form.
+/// Ordering. Every logging commit takes a publish ticket, and its redo
+/// records carry LSN = BaseLsn + ticket, so log order is the snapshot
+/// plane's commit order by construction — no log-side CAS, no sequencer.
+/// Commits complete out of order (Quiesce.h), so records are not written
+/// where they will finally sit: each committer appends to its *own*
+/// in-memory log, indexed by its Quiescence slot (single producer, single
+/// consumer, no multi-producer races). The one drain thread reads the
+/// stable frontier, then the log heads, and merges every log's prefix at
+/// or below the frontier's LSN in (Lsn, Index) order into the per-shard
+/// files; records above it stay in their log. Every ticket at or below
+/// the frontier marked itself done after its last append, so the merged
+/// prefix is complete and gap-free: each shard file stays (Lsn, Index)-
+/// monotone, exactly what recovery's scan demands. The hand-off is
+/// privatization-shaped (a record passes from the transactional world to
+/// an I/O thread); the release store that bumps a log head is the only
+/// barrier it needs, because the drainer never touches STM state.
+///
+/// Deadlock freedom. An append waits only when its log is full, i.e. on
+/// the drainer, and the drainer only ever waits for the frontier, i.e. on
+/// the holder of the lowest undone ticket. That committer's earlier
+/// records are all at or below the frontier, and the drainer also takes
+/// the records of the ticket just past it, so its log always drains — even
+/// for a group larger than the whole log — and it completes.
 ///
 /// Record format: 40 bytes, five host-endian words —
 ///   [0] Lsn       log sequence number = BaseLsn + publish ticket; all
@@ -62,7 +71,7 @@
 /// Degraded mode. A failed shard write or fsync (real ENOSPC/EIO, or
 /// the injected log_enospc site) no longer aborts the process: the WAL
 /// seals — DurableLsn freezes at the last honestly-fsynced cut, later
-/// ring contents are consumed and discarded (counted in
+/// log contents are consumed and discarded (counted in
 /// WalStats::DroppedRecords), and every waitDurable call for an LSN
 /// beyond the frozen cut returns DurableWait::DurabilityLost instead of
 /// blocking. Reads and async traffic keep flowing; only the sync-ack
@@ -83,6 +92,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace satm {
@@ -131,8 +141,8 @@ static_assert(sizeof(WalRecord) == 40, "on-disk record is 5 words");
 
 /// Drain-side counters (monotone since start()).
 struct WalStats {
-  uint64_t RecordsAppended = 0; ///< Ring appends (commit side).
-  uint64_t RingStalls = 0;      ///< Appends that waited on a full ring.
+  uint64_t RecordsAppended = 0; ///< Log appends (commit side).
+  uint64_t RingStalls = 0;      ///< Appends that waited on a full log.
   uint64_t FsyncBatches = 0;    ///< Drain cycles that reached fsync.
   uint64_t RecordsWritten = 0;  ///< Records handed to write(2).
   uint64_t BytesWritten = 0;
@@ -164,7 +174,7 @@ struct RecoveryStats {
 };
 
 /// Per-shard write-ahead redo log. Lifecycle: construct over a directory,
-/// optionally recover() into a Store, start() the drain threads, attach
+/// optionally recover() into a Store, start() the drain thread, attach
 /// to the Store (Store::attachWal) so committing transactions register
 /// publish-window appends, stop() before teardown.
 class Wal {
@@ -172,8 +182,11 @@ public:
   struct Config {
     std::string Dir;            ///< Log directory (created if absent).
     uint32_t Shards = 16;       ///< Must match the store's shard count.
-    uint32_t DrainThreads = 1;  ///< I/O threads; shard S drains on S % N.
-    uint32_t RingSlots = 4096;  ///< Per-shard ring capacity (power of two).
+    /// Per-committer log capacity in records (power of two). A log must
+    /// cover one drain cycle of its committer's appends (a cycle fsyncs
+    /// every dirty shard file); a log holds 40-byte entries and exists
+    /// only for threads that have logged.
+    uint32_t RingSlots = 16384;
     uint32_t FlushIntervalUs = 1000; ///< Group-commit window (idle bound).
   };
 
@@ -192,19 +205,21 @@ public:
   /// at exactly cut + 1.
   RecoveryStats recover(Store &S);
 
-  /// Spawns the drain threads. append() may be called only between
+  /// Spawns the drain thread. append() may be called only between
   /// start() and stop().
   void start();
 
-  /// Drains every ring, flushes, and joins the drain threads. Idempotent.
+  /// Waits for every ticket issued so far to complete, drains every log,
+  /// flushes, and joins the drain thread. Idempotent.
   void stop();
 
-  /// Commit-side append, called inside the publish window (unique
-  /// committer). The transaction's durable LSN is BaseLsn + Ticket; it
-  /// becomes visible to the drainer only once the transaction's last
-  /// record (Index == Count-1) is in its ring, so a group is never
-  /// fsync-acked half-appended. Spins (bounded by drainer progress) when
-  /// the shard ring is full.
+  /// Commit-side append to the calling thread's log, called inside the
+  /// publish window (after the ticket, before its done mark). The
+  /// transaction's durable LSN is BaseLsn + Ticket; the drainer writes
+  /// it as durable only once the stable frontier covers the ticket, i.e.
+  /// after its last record is in the log, so a group is never fsync-acked
+  /// half-appended. Spins (bounded by drainer progress) when the log is
+  /// full.
   void append(uint32_t Shard, WalOp Op, Word Key, Word Val, uint64_t Ticket,
               uint32_t Index, uint32_t Count);
 
@@ -246,10 +261,12 @@ public:
 
   /// Log compaction: rewrites every shard file keeping only records with
   /// LSN > \p Barrier, fsyncs the replacements, and re-points the drain
-  /// fds. Callable while the log is live (the checkpointer's thread);
-  /// serialized against the drainers per shard. Requires the barrier to
-  /// be durable already — if DurableLsn < Barrier (e.g. degraded), the
-  /// rotation is skipped and 0 is returned. Returns bytes removed.
+  /// fds. Callable while the log is live (the checkpointer's thread): the
+  /// bulk copy runs beside the drainer, and only the catch-up on its
+  /// latest appends and the swap hold the shard's file lock. Requires the
+  /// barrier to be durable already — if DurableLsn < Barrier (e.g.
+  /// degraded), the rotation is skipped and 0 is returned. Returns bytes
+  /// removed.
   uint64_t truncateBelow(uint64_t Barrier);
 
   /// Log directory (checkpoint files live alongside the shard logs).
@@ -266,27 +283,57 @@ public:
   std::string shardFile(uint32_t Shard) const;
 
 private:
-  struct alignas(64) Ring {
-    std::unique_ptr<WalRecord[]> Buf;
-    std::atomic<uint64_t> Head{0}; ///< Producer cursor (publish window).
-    std::atomic<uint64_t> Tail{0}; ///< Consumer cursor (drain thread).
+  /// A log slot: a record's first four words plus its shard file. The
+  /// drainer seals it into a WalRecord (adding the checksum) as it copies
+  /// it out, which keeps both the append and the slot short.
+  struct LogEntry {
+    uint64_t Lsn, Meta, Key, Val, Shard;
   };
 
-  void drainLoop(unsigned ThreadIndex);
-  /// One drain cycle: snapshot the published LSN, empty this thread's
-  /// rings into their files, fsync exactly the files written this cycle,
-  /// advance durability. Scratch/DirtyShards are loop-owned reusable
-  /// buffers.
-  void drainCycle(unsigned ThreadIndex, std::vector<uint8_t> &Scratch,
-                  std::vector<uint32_t> &DirtyShards);
+  /// One committer's log: a single-producer (the owner of one Quiescence
+  /// slot) single-consumer (the drainer) ring, in (Lsn, Index) order
+  /// because a thread's tickets only grow.
+  struct CommitterLog {
+    explicit CommitterLog(uint32_t Slots) : Buf(new LogEntry[Slots]) {}
+    std::unique_ptr<LogEntry[]> Buf;
+    alignas(64) std::atomic<uint64_t> Head{0}; ///< Producer cursor.
+    std::atomic<uint64_t> Appended{0};         ///< Producer-only odometer.
+    alignas(64) std::atomic<uint64_t> Tail{0}; ///< Consumer cursor.
+  };
+
+  /// Drain-thread scratch reused across cycles: one write buffer per
+  /// shard, the shards written this cycle, and the merge's state — a
+  /// cursor per log and a min-heap of (head LSN, cursor index).
+  struct DrainScratch {
+    std::vector<std::vector<WalRecord>> ShardBuf;
+    std::vector<uint32_t> Dirty;
+    struct Cursor {
+      CommitterLog *Log;
+      uint64_t Pos; ///< Next entry to take; the log's new tail.
+      uint64_t End; ///< The log head read this cycle.
+    };
+    std::vector<Cursor> Cursors;
+    using HeapItem = std::pair<uint64_t, size_t>;
+    std::vector<HeapItem> Heap;
+  };
+
+  /// The calling thread's log, created on its first append.
+  CommitterLog &logForThisThread();
+  void drainLoop();
+  /// One drain cycle: read the stable frontier, merge every log's prefix
+  /// at or below it (plus the lowest undone ticket's records) into the
+  /// shard files, fsync exactly the files written, advance durability.
+  void drainCycle(DrainScratch &D);
   /// Seals the log after an I/O failure (degraded mode) and wakes every
   /// durability waiter so they observe DurabilityLost. Reads errno.
   void enterDegraded(const char *What, const std::string &Path);
 
   Config Cfg;
-  std::vector<Ring> Rings;
+  /// Per-committer logs indexed by Quiescence slot, each created by its
+  /// slot's owner on first append and freed with the Wal.
+  std::unique_ptr<std::atomic<CommitterLog *>[]> Logs;
   std::vector<int> Fds; ///< One O_APPEND fd per shard (drain side only).
-  /// Per-shard file lock: serializes a drainer's write+fsync against
+  /// Per-shard file lock: serializes the drainer's write+fsync against
   /// truncateBelow's rewrite-and-swap of the same shard file. Uncontended
   /// except during a rotation. unique_ptr because mutexes cannot live in
   /// a resizable vector directly.
@@ -307,25 +354,24 @@ private:
   /// traffic (raw fast paths refuse while a log is attached).
   uint64_t BaseLsn = 0;
 
-  /// Highest LSN whose transaction is fully ring-published. Monotone:
-  /// stores happen only inside the serialized publish window.
-  std::atomic<uint64_t> PublishedLsn{0};
-  /// Highest LSN known fsynced (min over drain threads' cuts).
+  /// Highest LSN the drainer has taken out of a log (drain thread only;
+  /// start() reads it after the previous run's thread joined, so a
+  /// restart continues past everything already logged).
+  uint64_t DrainedLsn = 0;
+  /// Highest LSN known fsynced.
   std::atomic<uint64_t> DurableLsn{0};
 
-  std::mutex WaitMutex;                  ///< Guards ThreadCut + both CVs.
-  std::condition_variable DrainCv;       ///< Wakes drainers early.
-  std::condition_variable DurableCv;     ///< Wakes waitDurable callers.
-  std::vector<uint64_t> ThreadCut;       ///< Per-drainer fsynced cut.
+  std::mutex WaitMutex;              ///< Guards DurableLsn updates + CVs.
+  std::condition_variable DrainCv;   ///< Wakes the drainer early.
+  std::condition_variable DurableCv; ///< Wakes waitDurable callers.
   uint32_t SyncWaitersPending = 0;
 
-  std::vector<std::thread> Drainers;
+  std::thread Drainer;
   std::atomic<bool> Stopping{false};
   bool Started = false;
 
   std::atomic<bool> DegradedFlag{false};
 
-  std::atomic<uint64_t> StatAppends{0};
   std::atomic<uint64_t> StatRingStalls{0};
   std::atomic<uint64_t> StatFsyncBatches{0};
   std::atomic<uint64_t> StatRecordsWritten{0};

@@ -67,8 +67,11 @@ enum class YieldPoint : uint8_t {
   /// and observed word are passed for parity with the other read points,
   /// though a snapshot read never blocks on them.
   SnapshotRead,
-  /// Snapshot plane: a committer waiting in finishPublish for earlier
-  /// publish tickets to reach the stable epoch (in-order advance).
+  /// Snapshot plane: a thread waiting for the stable frontier to pass an
+  /// earlier, still-running publish ticket — a snapshot begin waiting to
+  /// cover its own thread's commits, or a committer waiting out a done-
+  /// ring wrap. The frontier word is passed so a scheduler can park the
+  /// thread until it moves.
   SnapshotPublish,
   /// Quiescence scan: a committer waiting in waitForValidationSince /
   /// waitForPriorWritebacks on one other thread's slot. Lets the

@@ -290,8 +290,8 @@ bool LazyTxn::tryCommit() {
   // Snapshot-plane publication, part 2: with every buffered value written
   // back and the records still held, the in-memory state *is* the
   // committed state — capture it, then link under a fresh publish ticket.
-  // Everything from beginPublish to finishPublish is plain stores and
-  // frees (the deadlock-freedom invariant of the in-order stable advance).
+  // Everything from beginPublish to completePublish is plain stores and
+  // frees: the ticket holds the stable frontier back until its done mark.
   uint64_t PubTicket = 0;
   if (!PubNodes.empty()) {
     for (auto &P : PubNodes)
@@ -308,7 +308,7 @@ bool LazyTxn::tryCommit() {
   ReleaseAll();
   QSlot->WritebackSeq.store(0, std::memory_order_release);
   if (PubTicket)
-    Quiescence::finishPublish(PubTicket);
+    Quiescence::completePublish(PubTicket);
   QSlot->ActiveSince.store(0, std::memory_order_release);
   statsForThisThread().TxnCommits++;
   traceEvent(TraceKind::TxnCommit);

@@ -33,11 +33,16 @@ struct Registry {
   /// bump would invalidate the line every beginner reads.
   alignas(64) std::atomic<uint64_t> Epoch{1};
   alignas(64) std::atomic<uint64_t> CommitSeq{0};
-  /// Snapshot-plane publish tickets (last reserved) and the stable epoch
-  /// (last fully published). Both start at 1 so a pin is never 0, which
-  /// doubles as the "not pinned" sentinel in Slot::PinnedEpoch.
+  /// Snapshot-plane publish tickets (last reserved) and the stable
+  /// frontier (every ticket at or below it is done). Both start at 1 so a
+  /// pin is never 0, which doubles as the "not pinned" sentinel in
+  /// Slot::PinnedEpoch.
   alignas(64) std::atomic<uint64_t> SnapTicket{1};
   alignas(64) std::atomic<uint64_t> SnapStable{1};
+  /// Done marks: slot T % DoneRingSize holds T once ticket T completed.
+  /// Storing the full ticket (not a flag) means a slot still holding an
+  /// older ticket's mark can never pass for the newer ticket's.
+  alignas(64) std::atomic<uint64_t> Done[Quiescence::DoneRingSize] = {};
   std::mutex FreeMutex;
   std::vector<unsigned> FreeList; ///< Indices of exited threads' slots.
   unsigned LiveCount = 0;         ///< Guarded by FreeMutex.
@@ -99,12 +104,55 @@ struct SlotHandle {
 
 thread_local SlotHandle TlsSlot;
 
+/// The newest publish ticket this thread completed (session order).
+thread_local uint64_t TlsLastTicket = 0;
+
+/// Helps advance the stable frontier: while the ticket just past it is
+/// marked done, CAS the frontier over it. Every access is seq_cst and
+/// pairs with the done-mark store in completePublish (a Dekker pattern):
+/// a completer that marks ticket T and then reads the frontier below T-1
+/// returns, trusting whoever moves the frontier to T-1 to see its mark.
+/// With weaker orders both sides could miss each other and the frontier
+/// would stall with every ticket done.
+void advanceFrontier(Registry &R) {
+  uint64_t F = R.SnapStable.load(std::memory_order_seq_cst);
+  for (;;) {
+    const uint64_t Next = F + 1;
+    if (R.Done[Next % Quiescence::DoneRingSize].load(
+            std::memory_order_seq_cst) != Next)
+      return;
+    // A failed CAS reloads F: someone else advanced, so keep helping from
+    // wherever the frontier is now.
+    if (R.SnapStable.compare_exchange_weak(F, Next, std::memory_order_seq_cst))
+      F = Next;
+  }
+}
+
+/// Helps advance the stable frontier until it reaches \p Target. Returns
+/// true if helping once was not enough and the caller had to wait for an
+/// earlier ticket to complete.
+bool waitFrontier(Registry &R, uint64_t Target) {
+  Backoff B;
+  for (bool Waited = false;; Waited = true) {
+    advanceFrontier(R);
+    uint64_t S = R.SnapStable.load(std::memory_order_acquire);
+    if (S >= Target)
+      return Waited;
+    schedYield(YieldPoint::SnapshotPublish, &R.SnapStable, S);
+    B.pause();
+  }
+}
+
 } // namespace
 
 Quiescence::Slot &Quiescence::slotForThisThread() {
+  return Registry::get().Slots[slotIndexForThisThread()];
+}
+
+unsigned Quiescence::slotIndexForThisThread() {
   if (TlsSlot.Index == SlotHandle::None)
     TlsSlot.Index = acquireSlotIndex();
-  return Registry::get().Slots[TlsSlot.Index];
+  return TlsSlot.Index;
 }
 
 unsigned Quiescence::liveSlots() {
@@ -220,26 +268,40 @@ uint64_t Quiescence::lastPublishTicket() {
   return Registry::get().SnapTicket.load(std::memory_order_acquire);
 }
 
-void Quiescence::waitPublishTurn(uint64_t Ticket) {
-  auto &Stable = Registry::get().SnapStable;
-  Backoff B;
-  for (;;) {
-    uint64_t S = Stable.load(std::memory_order_acquire);
-    if (S == Ticket - 1)
-      break;
-    assert(S < Ticket && "stable epoch overtook an unfinished ticket");
-    schedYield(YieldPoint::SnapshotPublish, &Stable, S);
-    B.pause();
-  }
-}
-
 void Quiescence::completePublish(uint64_t Ticket) {
-  Registry::get().SnapStable.store(Ticket, std::memory_order_release);
+  if (faultPoint(FaultSite::PublishStall)) {
+    traceEvent(TraceKind::FaultFired, uint8_t(FaultSite::PublishStall));
+    faultSpin(FaultInjector::arg(FaultSite::PublishStall));
+  }
+  Registry &R = Registry::get();
+  assert(R.SnapStable.load(std::memory_order_relaxed) < Ticket &&
+         "stable frontier overtook an unfinished ticket");
+  // Ring wrap: the slot still belongs to ticket Ticket - DoneRingSize
+  // until the frontier passes it. That ticket is older than ours, so
+  // waiting for it cannot close a cycle.
+  if (Ticket > DoneRingSize &&
+      R.SnapStable.load(std::memory_order_acquire) < Ticket - DoneRingSize &&
+      waitFrontier(R, Ticket - DoneRingSize)) {
+    statsForThisThread().PublishRingWaits++;
+    traceEvent(TraceKind::PublishRingWait);
+  }
+  R.Done[Ticket % DoneRingSize].store(Ticket, std::memory_order_seq_cst);
+  advanceFrontier(R);
+  if (Ticket > TlsLastTicket)
+    TlsLastTicket = Ticket;
 }
 
-void Quiescence::finishPublish(uint64_t Ticket) {
-  waitPublishTurn(Ticket);
-  completePublish(Ticket);
+uint64_t Quiescence::ownLastTicket() { return TlsLastTicket; }
+
+void Quiescence::waitOwnPublished() {
+  Registry &R = Registry::get();
+  // Our own ticket is done, so only an earlier, still-running ticket can
+  // hold the frontier below it.
+  if (R.SnapStable.load(std::memory_order_acquire) < TlsLastTicket &&
+      waitFrontier(R, TlsLastTicket)) {
+    statsForThisThread().PublishSessionWaits++;
+    traceEvent(TraceKind::PublishSessionWait);
+  }
 }
 
 uint64_t Quiescence::pinSnapshot(Slot &S) {

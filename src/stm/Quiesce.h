@@ -21,6 +21,13 @@
 /// The registry is a fixed array of per-thread slots published with
 /// release/acquire; waiting is bounded-spin with yield escalation.
 ///
+/// The same registry orders the snapshot and durability planes: commits
+/// that publish versions or log redo records take a global ticket, mark
+/// it done when they finish, and any committer helps advance the stable
+/// frontier over the contiguous done prefix (DESIGN.md §10.1). Commits
+/// complete out of order; readers and the WAL drainer only ever see the
+/// frontier, a gap-free prefix of ticket order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SATM_STM_QUIESCE_H
@@ -69,6 +76,12 @@ public:
   /// *simultaneous* STM threads is a hard error in every build type.
   static Slot &slotForThisThread();
 
+  /// Index of the calling thread's slot (registering on first use), below
+  /// peakSlots(). A recycled index passes to its next owner through the
+  /// registry mutex, so per-slot state handed along with it (the WAL's
+  /// per-committer logs) needs no further synchronization.
+  static unsigned slotIndexForThisThread();
+
   /// Number of currently registered threads (introspection for tests).
   static unsigned liveSlots();
 
@@ -97,21 +110,31 @@ public:
   static void waitForPriorWritebacks(uint64_t Seq, const Slot *Self);
 
   //===--------------------------------------------------------------------===
-  // Snapshot-plane epochs (DESIGN.md §10).
+  // Snapshot-plane epochs (DESIGN.md §10.1).
   //
   // Publishers reserve a unique ticket with beginPublish(), link their
-  // version nodes stamped with it, then call finishPublish(), which waits
-  // for every earlier ticket and only then advances the reader-visible
-  // stable epoch. Readers pin the stable epoch: because it advances
-  // strictly in ticket order *after* a publisher has linked all of its
-  // nodes, a reader pinned at E sees every version record of every commit
-  // with ticket <= E, fully linked — a prefix of the commit order, never a
-  // suffix hole or a torn commit. Deadlock-freedom invariant: everything a
-  // publisher does between beginPublish and finishPublish must be
-  // non-blocking (plain stores and frees only).
+  // version nodes stamped with it (and run their publish-window actions),
+  // then call completePublish(), which marks the ticket done and helps
+  // advance the reader-visible *stable frontier* over the contiguous
+  // prefix of done tickets. Commits complete out of order — no publisher
+  // waits for an earlier ticket — but the frontier only ever covers a
+  // gap-free prefix, so a reader pinned at E sees every version record of
+  // every commit with ticket <= E, fully linked: a prefix of the commit
+  // order, never a suffix hole or a torn commit. A snapshot may lag other
+  // threads' completed commits (snapshot isolation allows it); session
+  // order — a thread's snapshot covers its own commits — is restored by
+  // waitOwnPublished(). Progress: the holder of the lowest undone ticket
+  // waits on nothing that depends on a later ticket, so the frontier
+  // always advances once it completes.
   //===--------------------------------------------------------------------===
 
-  /// The newest fully published snapshot epoch (what a reader may pin).
+  /// Done marks are kept in a ring of this many tickets. A committer whose
+  /// slot still holds a done mark the frontier has not consumed (a ticket
+  /// this far behind is still undone) waits for it: the ring-wrap wait.
+  static constexpr uint64_t DoneRingSize = uint64_t(1) << 14;
+
+  /// The stable frontier: every ticket at or below it is done (what a
+  /// reader may pin).
   static uint64_t snapshotStable();
 
   /// Reserves the next publish ticket (strictly increasing, starting at 2;
@@ -126,23 +149,21 @@ public:
   /// run in the same process (DESIGN.md §12.2).
   static uint64_t lastPublishTicket();
 
-  /// Completes a publication: waits until the stable epoch reaches
-  /// Ticket-1, then advances it to \p Ticket. Equivalent to
-  /// waitPublishTurn followed by completePublish.
-  static void finishPublish(uint64_t Ticket);
-
-  /// First half of finishPublish: waits until every earlier ticket has
-  /// completed (stable epoch == Ticket-1). On return the caller is the
-  /// *unique* committer at the head of the publish order — later tickets
-  /// are still spinning behind it — which is the serialization point the
-  /// durability plane appends redo records at (commit-ordered hand-off,
-  /// DESIGN.md §12). Work done between the two halves is bound by the
-  /// publish-window invariant above: non-blocking only.
-  static void waitPublishTurn(uint64_t Ticket);
-
-  /// Second half of finishPublish: advances the stable epoch to
-  /// \p Ticket. Call only after waitPublishTurn(Ticket).
+  /// Completes a publication: marks \p Ticket done, then helps advance the
+  /// stable frontier over every contiguous done ticket. Returns without
+  /// waiting for earlier tickets; the only wait is the rare done-ring wrap
+  /// (a ticket DoneRingSize behind is still undone). Records \p Ticket as
+  /// the calling thread's newest (see waitOwnPublished).
   static void completePublish(uint64_t Ticket);
+
+  /// The newest ticket the calling thread completed (0 if none).
+  static uint64_t ownLastTicket();
+
+  /// Session order for snapshot readers: helps advance the frontier, then
+  /// waits until it covers ownLastTicket(), so a thread's snapshot always
+  /// includes its own commits. Other threads' commits may still sit above
+  /// the frontier.
+  static void waitOwnPublished();
 
   /// Pins the current stable epoch in \p S and returns it. Publishes the
   /// pin with a store-fence-revalidate handshake (hazard-pointer style)

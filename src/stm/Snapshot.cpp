@@ -89,8 +89,8 @@ size_t freeChain(VersionNode *N) {
 
 } // namespace
 
-std::atomic<size_t> snap::detail::EntryCount{0};
-std::atomic<size_t> snap::detail::NodeCount{0};
+snap::detail::LineCounter snap::detail::EntryCount;
+snap::detail::LineCounter snap::detail::NodeCount;
 
 VersionNode *snap::allocateNode(Object *O) {
   if (faultPoint(FaultSite::HeapAlloc)) {
@@ -106,13 +106,13 @@ VersionNode *snap::allocateNode(Object *O) {
   N->Epoch = 0;
   new (&N->Next) std::atomic<VersionNode *>(nullptr);
   N->NumSlots = Slots;
-  detail::NodeCount.fetch_add(1, std::memory_order_release);
+  detail::NodeCount.Value.fetch_add(1, std::memory_order_release);
   return N;
 }
 
 void snap::freeNode(VersionNode *N) {
   std::free(N);
-  detail::NodeCount.fetch_sub(1, std::memory_order_release);
+  detail::NodeCount.Value.fetch_sub(1, std::memory_order_release);
 }
 
 void snap::fillNode(Object *O, VersionNode *N) {
@@ -153,7 +153,7 @@ bool snap::ensureBaseNode(Object *O) {
   } while (!T.AllEntries.compare_exchange_weak(All, E,
                                                std::memory_order_release,
                                                std::memory_order_relaxed));
-  detail::EntryCount.fetch_add(1, std::memory_order_relaxed);
+  detail::EntryCount.Value.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -199,7 +199,7 @@ void snap::publishNode(Object *O, VersionNode *N, uint64_t Epoch) {
     Tail = Older;
     ++Freed;
   }
-  detail::NodeCount.fetch_sub(Freed, std::memory_order_release);
+  detail::NodeCount.Value.fetch_sub(Freed, std::memory_order_release);
   statsForThisThread().SnapshotNodesFreed += Freed;
 }
 
@@ -236,7 +236,7 @@ Word snap::readAtEpoch(Object *O, uint32_t Slot, uint64_t Epoch) {
 void snap::resetTable() {
   Table &T = Table::get();
   VersionEntry *E = T.AllEntries.exchange(nullptr, std::memory_order_acq_rel);
-  if (!E && detail::EntryCount.load(std::memory_order_relaxed) == 0)
+  if (!E && detail::EntryCount.Value.load(std::memory_order_relaxed) == 0)
     return;
   size_t Freed = 0;
   while (E) {
@@ -247,8 +247,8 @@ void snap::resetTable() {
   }
   for (size_t I = 0; I < NumBuckets; ++I)
     T.Buckets[I].store(nullptr, std::memory_order_relaxed);
-  detail::EntryCount.store(0, std::memory_order_relaxed);
-  detail::NodeCount.fetch_sub(Freed, std::memory_order_release);
+  detail::EntryCount.Value.store(0, std::memory_order_relaxed);
+  detail::NodeCount.Value.fetch_sub(Freed, std::memory_order_release);
 }
 
 size_t snap::chainLength(Object *O) {

@@ -35,9 +35,12 @@
 /// writers that hold the object's transaction record exclusively, so
 /// per-object publication is serialized by construction; cross-object
 /// ordering comes from the Quiescence publish ticket (beginPublish /
-/// finishPublish), which advances the reader-visible stable epoch strictly
-/// in ticket order so a pinned reader observes a prefix of the commit
-/// order — never a suffix hole.
+/// completePublish). Commits link their nodes and complete out of order,
+/// but the reader-visible stable frontier only advances over a contiguous
+/// prefix of completed tickets, so a pinned reader observes a prefix of
+/// the commit order — never a suffix hole or a half-linked commit. A node
+/// whose epoch is above every pin may belong to a commit still linking
+/// its siblings; readers skip it like any newer version.
 ///
 /// Objects written only by non-transactional barriers never grow a chain;
 /// snapshot reads of chain-less objects fall back to an in-place atomic
@@ -115,17 +118,26 @@ Word readAtEpoch(rt::Object *O, uint32_t Slot, uint64_t E);
 void resetTable();
 
 namespace detail {
+/// A counter that owns its whole cache line. NodeCount is bumped on every
+/// version-node allocation and free while EntryCount is loaded by every
+/// snapshot read; sharing a line (with each other, or with whatever the
+/// linker places next to them) would put the writers' traffic on the
+/// readers' fast path.
+struct alignas(64) LineCounter {
+  std::atomic<size_t> Value{0};
+};
+static_assert(sizeof(LineCounter) == 64, "one counter per cache line");
 /// Objects with a version chain; bumped after an entry's bucket insert,
 /// monotonic until resetTable. Exposed so the read fast path can test
 /// "table empty" inline — see readAtEpoch's fast-path soundness comment.
-extern std::atomic<size_t> EntryCount;
+extern LineCounter EntryCount;
 /// Version nodes currently allocated (allocateNode minus every free path).
-extern std::atomic<size_t> NodeCount;
+extern LineCounter NodeCount;
 } // namespace detail
 
 /// Number of objects with a version chain (read fast path + tests).
 inline size_t tableEntries() {
-  return detail::EntryCount.load(std::memory_order_acquire);
+  return detail::EntryCount.Value.load(std::memory_order_acquire);
 }
 
 /// Version nodes currently live across all chains (allocated and not yet
@@ -133,7 +145,7 @@ inline size_t tableEntries() {
 /// under sustained commit churn: publication-time pruning must reclaim as
 /// fast as commits allocate once no snapshot pin holds history.
 inline size_t liveNodes() {
-  return detail::NodeCount.load(std::memory_order_acquire);
+  return detail::NodeCount.Value.load(std::memory_order_acquire);
 }
 
 /// Length of \p O's chain, 0 if it has none (test introspection; only

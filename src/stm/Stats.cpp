@@ -89,6 +89,10 @@ const char *satm::stm::traceKindName(TraceKind K) {
     return "SnapshotEnd";
   case TraceKind::SnapshotPublish:
     return "SnapshotPublish";
+  case TraceKind::PublishSessionWait:
+    return "PublishSessionWait";
+  case TraceKind::PublishRingWait:
+    return "PublishRingWait";
   }
   return "?";
 }

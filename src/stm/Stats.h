@@ -113,6 +113,8 @@ const char *abortReasonKey(AbortReason R);
   X(SnapshotReads, "snapshot_reads")                                           \
   X(SnapshotPublishes, "snapshot_publishes")                                   \
   X(SnapshotNodesFreed, "snapshot_nodes_freed")                               \
+  X(PublishSessionWaits, "publish_session_waits")                             \
+  X(PublishRingWaits, "publish_ring_waits")                                   \
   X(OwnedAcquires, "owned_acquires")                                           \
   X(AffineHops, "affine_hops")
 
@@ -245,6 +247,10 @@ enum class TraceKind : uint8_t {
   SnapshotEnd,     ///< A snapshot transaction finished (read-only commit).
   SnapshotPublish, ///< A committer published version records; Arg is the
                    ///< number of objects published (saturated at 255).
+  PublishSessionWait, ///< A snapshot begin waited for the stable frontier
+                      ///< to cover its own thread's commits.
+  PublishRingWait,    ///< A committer waited out a done-ring wrap (a ticket
+                      ///< DoneRingSize older was still running).
 };
 
 /// Which barrier recorded a BarrierConflict event.

@@ -379,6 +379,10 @@ bool Txn::commitSerial() {
 
 void Txn::beginSnapshot() {
   assert(config().SnapshotEnabled && "snapshot plane is disabled");
+  // Session order: our own commits may have completed ahead of an earlier
+  // ticket still in flight. Wait for the frontier to cover them before
+  // registering, so a waiting reader holds up no quiescing committer.
+  Quiescence::waitOwnPublished();
   // Full begin() minus the start stamp (taken lazily on first write):
   // registry publication (so privatizing committers running quiescence
   // wait for us — we never validate, so QuiesceOnCommit blocks them until
@@ -435,9 +439,9 @@ uint64_t Txn::publishVersions() {
   }
   for (auto &P : Nodes)
     snap::fillNode(P.first, P.second);
-  // Non-blocking from here until Quiescence::finishPublish (the caller's
-  // duty, after releasing the locks): the in-order stable advance waits on
-  // earlier tickets, so nothing between ticket and finish may block.
+  // From here until Quiescence::completePublish (the caller's duty, after
+  // releasing the locks) this ticket holds the stable frontier back, so
+  // the window must not wait on anything a later ticket could hold.
   uint64_t Ticket = Quiescence::beginPublish();
   for (auto &P : Nodes)
     snap::publishNode(P.first, P.second, Ticket);
@@ -448,10 +452,10 @@ uint64_t Txn::publishVersions() {
 }
 
 void Txn::runPublishWindow(uint64_t Ticket) {
-  Quiescence::waitPublishTurn(Ticket);
-  // Head of the publish order: every earlier ticket has completed, every
-  // later one is spinning. Entries run in registration order; a multi-
-  // record group (Index/Count) lands contiguously in the global order.
+  // No wait on earlier tickets: entries of different committers run
+  // concurrently, and each carries its ticket so consumers order by it.
+  // Entries run in registration order; a multi-record group (Index/Count)
+  // shares the ticket.
   const uint32_t Count = uint32_t(PublishLog.size());
   for (uint32_t I = 0; I < Count; ++I) {
     const PublishEntry &E = PublishLog[I];

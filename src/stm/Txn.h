@@ -238,15 +238,18 @@ public:
     AbortActions.push_back(std::move(Action));
   }
 
-  /// A publish-window action: runs at commit *inside* the snapshot publish
-  /// window, after waitPublishTurn (this committer is globally unique in
-  /// the publish order) and before completePublish. The durability plane
-  /// registers redo-record appends here, so log order equals the snapshot
-  /// plane's commit order with no extra synchronization. POD shape — a
-  /// raw function pointer plus three payload words — because the window
-  /// is bound by the non-blocking publish invariant (Quiesce.h) and must
-  /// not allocate. Fn receives (Ctx, Ticket, Index, Count, A, B, C) where
-  /// Index/Count locate the entry in this transaction's publish group.
+  /// A publish-window action: runs at commit after the publish ticket is
+  /// taken and before the ticket's done mark (Quiescence::completePublish),
+  /// concurrently with other committers' windows. The ticket is the
+  /// commit's place in the global order; the durability plane registers
+  /// redo-record appends here and stamps them with it, so log order equals
+  /// the snapshot plane's commit order without serializing the appends.
+  /// Until the done mark the ticket holds the stable frontier back, so an
+  /// action may wait only on things no later ticket can hold (Quiesce.h).
+  /// POD shape — a raw function pointer plus three payload words — so
+  /// registering one never allocates. Fn receives (Ctx, Ticket, Index,
+  /// Count, A, B, C) where Index/Count locate the entry in this
+  /// transaction's publish group.
   struct PublishEntry {
     void (*Fn)(void *Ctx, uint64_t Ticket, uint32_t Index, uint32_t Count,
                Word A, Word B, Word C);
@@ -388,7 +391,8 @@ private:
   void begin();
   bool tryCommit();
   bool commitSerial();
-  /// Snapshot-region begin: begin() plus pinning the stable snapshot epoch.
+  /// Snapshot-region begin: waits until the stable frontier covers this
+  /// thread's own commits (session order), then begin() plus pinning it.
   void beginSnapshot();
   /// Snapshot-region commit. Read-only: marks inactive and returns — no
   /// validation, no publication. With writes: publishes version records
@@ -444,15 +448,14 @@ private:
   /// explorer SnapshotRead yield point, and the version-chain walk.
   Word snapshotReadSlow(rt::Object *O, uint32_t Slot);
   /// Publishes one version record per held write lock onto the snapshot
-  /// plane and returns the publish ticket; the caller must pass it to
-  /// Quiescence::finishPublish after releasing the locks. Called between
+  /// plane and returns the publish ticket; the caller must complete it
+  /// (runPublishWindow) after releasing the locks. Called between
   /// validation and lock release, so the node-allocation failure path
   /// (fault-injected) can still abort cleanly; throws RollbackSignal then.
   uint64_t publishVersions();
-  /// Runs the publish window for \p Ticket: waits for the publish turn,
-  /// fires every PublishLog entry (this committer is unique in the publish
-  /// order), then advances the stable epoch. Non-blocking per the
-  /// Quiescence publish invariant.
+  /// Runs the publish window for \p Ticket: fires every PublishLog entry,
+  /// then marks the ticket done and helps advance the stable frontier. No
+  /// wait on earlier tickets.
   void runPublishWindow(uint64_t Ticket);
   void rollbackAll();
   /// Ladder escalation check before each attempt: past the configured

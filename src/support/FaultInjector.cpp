@@ -50,6 +50,8 @@ const char *satm::faultSiteName(FaultSite S) {
     return "CkptWrite";
   case FaultSite::CkptRename:
     return "CkptRename";
+  case FaultSite::PublishStall:
+    return "PublishStall";
   }
   return "?";
 }
@@ -88,6 +90,8 @@ const char *satm::faultSiteKey(FaultSite S) {
     return "ckpt_write";
   case FaultSite::CkptRename:
     return "ckpt_rename";
+  case FaultSite::PublishStall:
+    return "publish_stall";
   }
   return "?";
 }

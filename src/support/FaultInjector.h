@@ -61,9 +61,12 @@ enum class FaultSite : uint8_t {
                   ///< checkpoint stays authoritative.
   CkptRename,     ///< kv::Checkpointer: the publishing rename fails after
                   ///< the temp file is durable.
+  PublishStall,   ///< Quiescence: busy-delay (arg spins) between a publish
+                  ///< ticket and its done mark, so later commits complete
+                  ///< ahead of it.
 };
 
-inline constexpr unsigned NumFaultSites = 16;
+inline constexpr unsigned NumFaultSites = 17;
 
 /// Display name (matches the enumerator).
 const char *faultSiteName(FaultSite S);
@@ -155,7 +158,8 @@ inline bool faultPoint(FaultSite S) {
   return detail::faultFireSlow(S);
 }
 
-/// Busy-delay loop used by the delay sites (BarrierAcquire, QuiesceStall).
+/// Busy-delay loop used by the delay sites (BarrierAcquire, QuiesceStall,
+/// PublishStall, ...).
 void faultSpin(uint32_t Iters);
 
 } // namespace satm

@@ -163,6 +163,59 @@ TEST(ChurnFlat, TombstoneSaturatedShardRecyclesSlots) {
   EXPECT_FALSE(S.get(0, V)) << "round 0's victim stays erased";
 }
 
+TEST(ChurnFlat, RetireHorizonCoversTheErasersTicketPastAStalledOne) {
+  Config Cfg;
+  Cfg.DeaEnabled = true;
+  Cfg.SnapshotEnabled = true; // Every commit takes a publish ticket.
+  ScopedConfig SC(Cfg);
+  snap::resetTable();
+
+  rt::Heap H;
+  StoreConfig KC;
+  KC.Shards = 1;
+  KC.CapacityPerShard = 8;
+  Store S(H, KC);
+  ASSERT_TRUE(S.insert(1, 100));
+
+  // An earlier ticket that stays undone: the erase below completes ahead
+  // of it, above the stable frontier. (No ASSERTs until it completes: an
+  // early return would leave the frontier stuck for every later test.)
+  const uint64_t Stalled = Quiescence::beginPublish();
+  EXPECT_TRUE(S.erase(1));
+  const uint64_t EraseTicket = Quiescence::ownLastTicket();
+  EXPECT_GT(EraseTicket, Stalled);
+  EXPECT_LT(Quiescence::snapshotStable(), EraseTicket);
+
+  // A reader pinned now sits below the unlink and still reaches key 1's
+  // record through the index.
+  Word Seen = 0;
+  std::thread([&] { EXPECT_TRUE(S.snapshotGet(1, Seen)); }).join();
+  EXPECT_EQ(Seen, 100u);
+
+  // So the record must not be recycled for another key yet, however far
+  // the quiescence epoch moves: its horizon is the erase's own ticket,
+  // not the lagging frontier.
+  Quiescence::advanceEpoch();
+  Quiescence::advanceEpoch();
+  EXPECT_TRUE(S.insert(2, 200));
+  EXPECT_EQ(S.reclaimStats().Recycled, 0u)
+      << "recycled below the unlinking commit's ticket";
+
+  // Once the stalled ticket completes, the frontier passes the erase and
+  // the next insert recycles the record.
+  Quiescence::completePublish(Stalled);
+  EXPECT_GE(Quiescence::snapshotStable(), EraseTicket);
+  Quiescence::advanceEpoch();
+  Quiescence::advanceEpoch();
+  ASSERT_TRUE(S.insert(3, 300));
+  EXPECT_EQ(S.reclaimStats().Recycled, 1u);
+  Word V = 0;
+  EXPECT_FALSE(S.snapshotGet(1, V));
+  ASSERT_TRUE(S.snapshotGet(3, V));
+  EXPECT_EQ(V, 300u);
+  snap::resetTable();
+}
+
 TEST(ChurnFlat, ThreadChurnKeepsRingAndSlotRegistriesBounded) {
   Config Cfg;
   Cfg.DeaEnabled = true;

@@ -7,23 +7,35 @@
 // Unit coverage of the kv::Wal building blocks (DESIGN.md §12): the
 // on-disk record format and its checksum, the mode spellings the bench
 // harness and schema share, the append → group-commit drain → fsync
-// pipeline and its telemetry, the sync-ack waitDurable contract, and the
+// pipeline and its telemetry, the sync-ack waitDurable contract, the
 // store-side gating that routes every write through the logged
-// transactional path while a Wal is attached. Crash and corruption
-// semantics live in WalRecoveryTest / CrashRecoveryTest.
+// transactional path while a Wal is attached, and the drainer's merge of
+// out-of-order per-committer logs into commit-ordered shard files (with
+// and without truncation racing it). Crash and corruption semantics live
+// in WalRecoveryTest / CrashRecoveryTest.
 //
 //===----------------------------------------------------------------------===//
 
+#include "kv/Checkpoint.h"
 #include "kv/Store.h"
 #include "kv/Wal.h"
 
 #include "stm/Config.h"
+#include "stm/Snapshot.h"
+#include "support/FaultInjector.h"
+#include "support/Rng.h"
 
 #include "gtest/gtest.h"
 
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -178,6 +190,159 @@ TEST(Wal, AttachedStoreRefusesRawFastPaths) {
   W.stop();
   ASSERT_TRUE(S.putFast(1, 13)) << "detach restores the fast path";
   std::filesystem::remove_all(WC.Dir);
+}
+
+/// Every record of one shard file, in file order (no validation).
+std::vector<WalRecord> readShardFile(const std::string &Path) {
+  std::vector<WalRecord> Out;
+  FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F)
+    return Out;
+  WalRecord R;
+  while (std::fread(&R, 1, sizeof(R), F) == sizeof(R))
+    Out.push_back(R);
+  std::fclose(F);
+  return Out;
+}
+
+/// Eight committer threads run multi-shard groups — and one, now and then,
+/// a group larger than a whole log — against tiny per-committer logs,
+/// while publish_stall parks committers between ticket and done mark so
+/// commits complete (and append) well out of ticket order. With
+/// \p Checkpointing a ninth thread checkpoints in a loop, so truncateBelow
+/// rewrites shard files under the running drainer. The merged shard files
+/// must be (Lsn, Index)-monotone with contiguous, complete LSN groups, and
+/// recovery must rebuild the live store exactly.
+void checkConcurrentCommitters(const char *Name, bool Checkpointing) {
+  Config Cfg;
+  Cfg.DeaEnabled = true;
+  Cfg.SnapshotEnabled = Checkpointing; // The checkpoint scan needs it.
+  ScopedConfig SC(Cfg);
+  snap::resetTable();
+  FaultConfig FC;
+  FC.Seed = 3;
+  FC.Prob[unsigned(FaultSite::PublishStall)] = UINT32_MAX / 16;
+  FC.Arg[unsigned(FaultSite::PublishStall)] = 4000;
+  FaultInjector::arm(FC);
+
+  constexpr Word NumKeys = 256;
+  auto MakeStore = [](rt::Heap &H) {
+    StoreConfig KC;
+    KC.Shards = 8;
+    KC.CapacityPerShard = 128;
+    auto S = std::make_unique<Store>(H, KC);
+    for (Word K = 0; K < NumKeys; ++K)
+      EXPECT_TRUE(S->insert(K, 1000 + K)); // Unlogged baseline.
+    return S;
+  };
+  rt::Heap H;
+  std::unique_ptr<Store> S = MakeStore(H);
+
+  Wal::Config WC;
+  WC.Dir = scratchDir(Name);
+  WC.Shards = S->shards();
+  WC.RingSlots = 8; // Tiny logs: constant backpressure.
+  WC.FlushIntervalUs = 100;
+  Wal W(WC);
+  W.start();
+  S->attachWal(&W);
+
+  constexpr unsigned Threads = 8, Iters = 150;
+  constexpr size_t BigGroup = 20; // More records than a whole log holds.
+  std::atomic<unsigned> Running{Threads};
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      Rng R(T + 1);
+      for (unsigned I = 0; I < Iters; ++I) {
+        Word Keys[BigGroup], Vals[BigGroup];
+        OpStatus PerKey[BigGroup];
+        const size_t N = (T == 0 && I % 25 == 0) ? BigGroup : 3;
+        for (size_t J = 0; J < N; ++J) {
+          Keys[J] = R.nextBelow(NumKeys);
+          Vals[J] = R.next() >> 1;
+        }
+        EXPECT_EQ(S->multiPut(Keys, Vals, N, PerKey), OpStatus::Ok);
+        EXPECT_TRUE(S->rmwAdd(Keys, 1, 7));
+      }
+      Running.fetch_sub(1);
+    });
+  uint64_t TruncatedBytes = 0;
+  if (Checkpointing) {
+    Checkpointer CP(*S, W, Checkpointer::Config{});
+    while (Running.load() != 0)
+      EXPECT_TRUE(CP.runOnce());
+    TruncatedBytes = CP.stats().WalTruncatedBytes;
+  }
+  for (std::thread &T : Pool)
+    T.join();
+  S->attachWal(nullptr);
+  W.stop();
+  FaultInjector::disarm();
+
+  const WalStats St = W.stats();
+  EXPECT_EQ(St.RecordsWritten, St.RecordsAppended);
+  EXPECT_GT(St.RingStalls, 0u) << "the logs were meant to fill up";
+
+  std::map<uint64_t, std::pair<uint32_t, uint32_t>> Groups; // Lsn -> n, span
+  uint64_t Total = 0;
+  for (uint32_t Sd = 0; Sd < WC.Shards; ++Sd) {
+    const std::vector<WalRecord> Recs = readShardFile(W.shardFile(Sd));
+    for (size_t I = 0; I < Recs.size(); ++I) {
+      ASSERT_EQ(Recs[I].Check, Recs[I].checksum()) << "shard " << Sd;
+      if (I > 0) {
+        const WalRecord &P = Recs[I - 1];
+        ASSERT_TRUE(P.Lsn < Recs[I].Lsn ||
+                    (P.Lsn == Recs[I].Lsn && P.index() < Recs[I].index()))
+            << "shard " << Sd << " out of order at record " << I;
+      }
+      auto &G = Groups[Recs[I].Lsn];
+      ++G.first;
+      G.second = Recs[I].span();
+    }
+    Total += Recs.size();
+  }
+  ASSERT_FALSE(Groups.empty());
+  if (Checkpointing) {
+    EXPECT_GT(TruncatedBytes, 0u) << "no rotation ran under the drainer";
+  } else {
+    EXPECT_EQ(Total, St.RecordsAppended);
+    EXPECT_EQ(Groups.begin()->first, 2u) << "a fresh log starts at LSN 2";
+  }
+  // Truncation only ever drops a whole prefix of groups, so whatever
+  // remains is contiguous and complete.
+  uint64_t Expect = Groups.begin()->first;
+  for (const auto &[Lsn, G] : Groups) {
+    EXPECT_EQ(Lsn, Expect++) << "LSN hole";
+    EXPECT_EQ(G.first, G.second) << "incomplete group at LSN " << Lsn;
+  }
+
+  // Recovery rebuilds the live store exactly.
+  rt::Heap H2;
+  std::unique_ptr<Store> S2 = MakeStore(H2);
+  Wal W2(WC);
+  const RecoveryStats RS = W2.recover(*S2);
+  EXPECT_EQ(RS.CutLsn, Groups.rbegin()->first);
+  EXPECT_EQ(RS.ApplyFailures, 0u);
+  if (!Checkpointing) {
+    EXPECT_EQ(RS.RecordsReplayed, Total);
+  }
+  for (Word K = 0; K < NumKeys; ++K) {
+    Word Live = 0, Rec = 0;
+    ASSERT_TRUE(S->get(K, Live));
+    ASSERT_TRUE(S2->get(K, Rec));
+    EXPECT_EQ(Rec, Live) << "key " << K;
+  }
+  snap::resetTable();
+  std::filesystem::remove_all(WC.Dir);
+}
+
+TEST(Wal, ConcurrentCommittersMergeIntoCommitOrderedShardFiles) {
+  checkConcurrentCommitters("merge", /*Checkpointing=*/false);
+}
+
+TEST(Wal, TruncationUnderTheRunningDrainerKeepsEveryRecord) {
+  checkConcurrentCommitters("truncate", /*Checkpointing=*/true);
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -168,24 +169,35 @@ TEST(RaceReport, ReportsOncePerBarrierInvocation) {
 TEST(RaceReport, RacyProgramIsFlaggedCleanProgramIsNot) {
   // End-to-end: a racy counter (non-txn increments racing a transactional
   // incrementer) produces reports; the properly-transactional version
-  // stays quiet.
+  // stays quiet. The overlap is a handshake, not a scheduling accident:
+  // each round the incrementer holds the record open until the other side
+  // has run into it (racy: until its barrier reported; clean: for 10 ms,
+  // as the other side's conflicts are transactional and never reported),
+  // and starts the next round only after the other side's increment.
+  constexpr int Rounds = 3;
   for (bool Racy : {true, false}) {
     Recorder Rec;
     ScopedConfig SC(Rec.makeConfig());
     Heap H;
     Object *X = H.allocate(&CellType, BirthState::Shared);
+    std::atomic<int> Holding{0}, Released{0}, OtherDone{0};
     std::thread TxnThread([&] {
-      for (int I = 0; I < 4000; ++I)
+      for (int R = 1; R <= Rounds; ++R) {
         atomically([&] {
           Txn &T = Txn::forThisThread();
           T.write(X, 0, T.read(X, 0) + 1);
-          // Surrender the (single) CPU while holding the record so the
-          // racing thread actually overlaps with the transaction.
-          std::this_thread::yield();
+          Holding.store(R);
+          while (Released.load() < R)
+            std::this_thread::yield();
         });
+        while (OtherDone.load() < R)
+          std::this_thread::yield();
+      }
     });
     std::thread Other([&] {
-      for (int I = 0; I < 4000; ++I) {
+      for (int R = 1; R <= Rounds; ++R) {
+        while (Holding.load() < R)
+          std::this_thread::yield();
         if (Racy) {
           ntWrite(X, 0, ntRead(X, 0) + 1);
         } else {
@@ -194,14 +206,31 @@ TEST(RaceReport, RacyProgramIsFlaggedCleanProgramIsNot) {
             T.write(X, 0, T.read(X, 0) + 1);
           });
         }
+        OtherDone.store(R);
       }
     });
+    auto Reported = [&] {
+      std::lock_guard<std::mutex> Lock(Rec.Mutex);
+      return Rec.Races.size();
+    };
+    for (int R = 1; R <= Rounds; ++R) {
+      while (Holding.load() < R)
+        std::this_thread::yield();
+      if (Racy) {
+        for (int Ms = 0; Ms < 10000 && Reported() < size_t(R); ++Ms)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      Released.store(R);
+    }
     TxnThread.join();
     Other.join();
+    EXPECT_EQ(X->rawLoad(0), 2u * Rounds);
     if (Racy)
-      EXPECT_FALSE(Rec.Races.empty()) << "racy program not flagged";
+      EXPECT_GE(Reported(), size_t(Rounds)) << "racy program not flagged";
     else
-      EXPECT_TRUE(Rec.Races.empty()) << "clean program flagged";
+      EXPECT_EQ(Reported(), 0u) << "clean program flagged";
   }
 }
 

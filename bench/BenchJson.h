@@ -1,4 +1,4 @@
-//===- bench/BenchJson.h - Shared satm-bench-v9 JSON emitter ---*- C++ -*-===//
+//===- bench/BenchJson.h - Shared satm-bench-v10 JSON emitter --*- C++ -*-===//
 //
 // Part of the SATM project, reproducing Shpeisman et al., PLDI 2007.
 //
@@ -7,21 +7,17 @@
 /// \file
 /// The one writer of the repo's machine-readable perf trajectory format,
 /// shared by bench/perf_suite, bench/kv_service and bench/kv_loadgen so
-/// the pieces of BENCH_satm.json cannot drift apart. Schema satm-bench-v9:
+/// the pieces of BENCH_satm.json cannot drift apart. Schema satm-bench-v10:
 ///
-///   { "schema": "satm-bench-v9", "mode": "full"|"smoke",
+///   { "schema": "satm-bench-v10", "mode": "full"|"smoke",
 ///     "benchmarks": [
 ///       { "name", "ns_per_op", "ops", "commits", "aborts", "median_of",
 ///         "abort_reasons": { ...all nine taxonomy keys... },
 ///         // optional, service benchmarks only:
-///         "exec_mode": "symmetric"|"affine",
 ///         "throughput_ops_per_sec": N,
 ///         "latency_ns": {"p50": N, "p95": N, "p99": N, "p999": N},
 ///         "read_planes": {"snapshot": {"p50","p95","p99","p999","count"},
 ///                         "nt": {...}, "txn": {...}},
-///         // optional, affine-executor benchmarks only:
-///         "affine": {"hops": N, "cross_shard_ops": N,
-///                    "cross_shard_ratio": F, "max_queue_depth": N},
 ///         // optional, overload benchmarks only (implies latency):
 ///         "offered_ops_per_sec": N, "goodput_ops_per_sec": N,
 ///         "shed_rate": F,
@@ -37,6 +33,9 @@
 ///         "net": {"qps_offered": N, "goodput": N, "p99_ns": N,
 ///                 "slo_capacity": N, "shed_rate": F, "batch_avg": F} } ] }
 ///
+/// v10 drops v6's executor dimension (the execution-mode field and the
+/// affine routing block) with the shard-affine executor: every kv/* entry
+/// runs the one executor, so the field could only ever say "symmetric".
 /// v9 extends v8 with the checkpoint sub-block (DESIGN.md §14): durable
 /// entries that ran with the background checkpointer report the trigger
 /// interval (appended redo records between snapshots), total wall time
@@ -60,22 +59,14 @@
 /// that ran with a write-ahead redo log attached report the ack mode,
 /// how many group-commit fsync batches the drainer issued, how many redo
 /// records it persisted, how often producers stalled on a full ring, and
-/// how long a fresh store took to replay the run's entire log
-/// (the recovery-time benchmark). v6 added the executor dimension: every kv/* entry now names
-/// the execution mode it ran under (symmetric = any worker transacts
-/// against any shard; affine = the shard-affine executor of DESIGN.md
-/// §11), and affine entries carry the routing telemetry — single-key ops
-/// hopped to their owning worker, multi-key transactions that spanned
-/// foreign shards, the fraction of ops that left their worker's shard
-/// set, and the deepest per-shard mailbox high-water mark. v5 added the
-/// per-plane read-latency split (read_planes), one percentile set plus
-/// sample count per plane; planes the mix never exercised report zeros.
-/// Entries without the optional fields are still valid;
-/// scripts/check_bench_schema.sh enforces that kv/* entries carry
-/// exec_mode and the latency fields, kv/affine/* entries the affine
-/// block, kv/snapshot/* entries the read_planes block, kv/overload/*
-/// entries the overload triple, and kv/durable/* entries the durability
-/// block.
+/// how long a fresh store took to replay the run's entire log (the
+/// recovery-time benchmark). v5 added the per-plane read-latency split
+/// (read_planes), one percentile set plus sample count per plane; planes
+/// the mix never exercised report zeros. Entries without the optional
+/// fields are still valid; scripts/check_bench_schema.sh enforces that
+/// kv/* entries carry the latency fields, kv/snapshot/* entries the
+/// read_planes block, kv/overload/* entries the overload triple, and
+/// kv/durable/* entries the durability block.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,15 +95,6 @@ struct BenchEntry {
   uint64_t Aborts = 0;
   unsigned MedianOf = 1;
   stm::StatsCounters Counters; ///< Abort-reason histogram source.
-  /// Service benchmarks: which executor ran the entry ("symmetric" or
-  /// "affine"); empty omits the exec_mode field (microbenchmarks).
-  std::string ExecMode;
-  /// Affine-executor routing telemetry. HasAffine gates the affine block.
-  bool HasAffine = false;
-  uint64_t AffineHops = 0;      ///< Single-key ops hopped to their owner.
-  uint64_t CrossShardOps = 0;   ///< Multi-key ops spanning foreign shards.
-  double CrossShardRatio = 0;   ///< (hops + cross) / total routed ops.
-  uint64_t MaxQueueDepth = 0;   ///< Deepest mailbox high-water mark.
   /// Service benchmarks: end-to-end latency percentiles and sustained
   /// throughput. HasLatency gates both optional JSON fields.
   bool HasLatency = false;
@@ -168,7 +150,7 @@ inline void writeBenchJson(const char *Path, const char *Mode,
     std::exit(1);
   }
   std::fprintf(F, "{\n");
-  std::fprintf(F, "  \"schema\": \"satm-bench-v9\",\n");
+  std::fprintf(F, "  \"schema\": \"satm-bench-v10\",\n");
   std::fprintf(F, "  \"mode\": \"%s\",\n", Mode);
   std::fprintf(F, "  \"benchmarks\": [\n");
   for (size_t I = 0; I < Entries.size(); ++I) {
@@ -179,16 +161,6 @@ inline void writeBenchJson(const char *Path, const char *Mode,
                  ", \"median_of\": %u,\n     \"abort_reasons\": %s",
                  E.Name.c_str(), E.NsPerOp, E.Ops, E.Commits, E.Aborts,
                  E.MedianOf, stm::renderAbortReasonsJson(E.Counters).c_str());
-    if (!E.ExecMode.empty())
-      std::fprintf(F, ",\n     \"exec_mode\": \"%s\"", E.ExecMode.c_str());
-    if (E.HasAffine)
-      std::fprintf(F,
-                   ",\n     \"affine\": {\"hops\": %" PRIu64
-                   ", \"cross_shard_ops\": %" PRIu64
-                   ", \"cross_shard_ratio\": %.4f, \"max_queue_depth\": %" PRIu64
-                   "}",
-                   E.AffineHops, E.CrossShardOps, E.CrossShardRatio,
-                   E.MaxQueueDepth);
     if (E.HasLatency)
       std::fprintf(F,
                    ",\n     \"throughput_ops_per_sec\": %.0f,\n"

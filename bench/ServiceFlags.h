@@ -26,7 +26,6 @@ namespace bench {
 /// open-loop flag family but drives a remote server instead of in-process
 /// workers.
 struct ServiceFlags {
-  bool Affine = false;   ///< --exec=affine
   double Qps = 0;        ///< --qps (0 = closed loop)
   bool Overload = false; ///< an --overload policy was given
   kv::DurabilityMode Durability = kv::DurabilityMode::Off;
@@ -73,11 +72,6 @@ inline const char *validateServiceFlags(const ServiceFlags &F) {
   if (F.Serve && F.ThreadsSet)
     return "--serve replaces the closed-loop worker pool with I/O threads "
            "and shard workers (use --io-threads/--workers, not --threads)";
-  if (F.Serve && F.Affine)
-    return "--serve batches same-shard requests into one transaction per "
-           "drain, which already provides shard affinity; the affine "
-           "executor's owner loop would fight the shard workers for the "
-           "same shards (drop --exec=affine)";
   if (F.Serve && (F.Smoke || F.Suite))
     return "--serve runs until a SHUTDOWN frame or SIGINT; the "
            "--smoke/--suite time-budget harnesses drive in-process "
@@ -88,22 +82,10 @@ inline const char *validateServiceFlags(const ServiceFlags &F) {
   if (F.NetBatchSet && !F.Serve)
     return "--net-batch bounds the per-shard wire batch and does nothing "
            "without --serve (add --serve=addr:port)";
-  if (F.Affine && F.Qps > 0)
-    return "--exec=affine is closed-loop only: affine hops complete inside "
-           "the owner's drain cadence, which an open-loop arrival clock "
-           "would misattribute to queueing delay (drop --qps)";
-  if (F.Affine && F.Overload)
-    return "--exec=affine has no overload-control path: deadlines and "
-           "retry budgets apply to the symmetric executor's transactional "
-           "ops (drop --overload)";
   if (F.Overload && !(F.Qps > 0) && !F.Serve)
     return "--overload is an open-loop experiment: without --qps there is "
            "no offered rate to exceed capacity (add --qps, or shed at the "
            "socket with --serve)";
-  if (F.Affine && F.Durability != kv::DurabilityMode::Off)
-    return "--exec=affine does not support --durability yet: hopped writes "
-           "complete on the owner, whose durable LSN is not plumbed back "
-           "to the issuer's ack (use --exec=symmetric)";
   if (F.Durability == kv::DurabilityMode::Sync && (F.Smoke || F.Suite))
     return "--durability=sync waits out an fsync per mutation, which the "
            "--smoke/--suite time budgets do not cover; the full suite runs "

@@ -179,21 +179,6 @@ struct Segment {
   /// must write snapshot-read objects only transactionally (the plane does
   /// not order non-transactional stores, see stm/Snapshot.h).
   bool IsSnapshot = false;
-  /// Shard-affine executor modeling (stm/AffineGate.h, DESIGN.md §11).
-  /// OwnedGate >= 0 runs this transactional segment as its gate-owner's
-  /// op: if the fast window opens, the transaction executes under
-  /// stm::OwnedFastScope (plain-store record acquires, no read
-  /// validation), else it falls back to the full protocol. A non-empty
-  /// ForeignGates list runs the segment as a cross-shard transaction:
-  /// foreign intent is published on every listed gate (waiting out open
-  /// windows) before the transaction starts. Honored by the Eager and
-  /// Strong regimes; other regimes run the segment as a plain
-  /// transaction. The oracle ignores both fields — gates restrict which
-  /// interleavings the implementation can produce, never the set of
-  /// serializable outcomes, which is exactly the property the explorer
-  /// then checks.
-  int OwnedGate = -1;
-  std::vector<int> ForeignGates;
   std::vector<Step> Steps;
 };
 
@@ -225,24 +210,6 @@ inline Segment snap(std::vector<Step> Steps) {
   Seg.IsTxn = true;
   Seg.IsSnapshot = true;
   Seg.Steps = std::move(Steps);
-  return Seg;
-}
-
-/// A transactional segment run as the op of the worker owning \p Gate:
-/// owned-record fast path when the gate's window opens, full protocol when
-/// foreign intent holds it (AffineExec::execSingle's shape).
-inline Segment owned(int Gate, std::vector<Step> Steps) {
-  Segment Seg = txn(std::move(Steps));
-  Seg.OwnedGate = Gate;
-  return Seg;
-}
-
-/// A cross-shard transactional segment: foreign intent is published on
-/// every gate in \p Gates for the transaction's whole duration, including
-/// conflict re-executions (AffineExec::runCross's shape).
-inline Segment cross(std::vector<int> Gates, std::vector<Step> Steps) {
-  Segment Seg = txn(std::move(Steps));
-  Seg.ForeignGates = std::move(Gates);
   return Seg;
 }
 

@@ -220,6 +220,16 @@ bool Store::putFast(Word Key, Word Val) {
     stm::AggregatedWriter W(V);
     if (S.Vals->rawLoad(I, std::memory_order_acquire) != VW)
       return false; // Unlinked underneath us.
+    // Snapshot readers resolve a chained object through its chain, never
+    // in place, so a raw store into one would stay invisible to them
+    // forever: let the transactional insert publish a version instead.
+    // Checked under the hold, which keeps any transaction from chaining V
+    // between the check and the store. Chain-less objects keep the raw
+    // store; snapshot reads see them in place (the nt caveat,
+    // stm/Snapshot.h).
+    if (stm::config().SnapshotEnabled && stm::snap::tableEntries() != 0 &&
+        stm::snap::hasChain(V))
+      return false;
     W.store(0, Val);
     return true;
   }
@@ -230,46 +240,6 @@ bool Store::put(Word Key, Word Val) {
   if (putFast(Key, Val))
     return true;
   return insert(Key, Val);
-}
-
-bool Store::putFastOwned(Word Key, Word Val) {
-  assert(Val != Tombstone && "Tombstone is reserved");
-  if (DurableLog)
-    return false; // Raw stores bypass the redo log: take the txn path.
-  const ShardRep &S = Reps[shardOf(Key)];
-  const uint32_t Mask = Capacity - 1;
-  uint32_t I = probeStart(Key, Capacity);
-  for (uint32_t N = 0; N < Capacity; ++N, I = (I + 1) & Mask) {
-    // Plain acquire loads: index mutations of this shard either happened
-    // on this thread (the owner executes all single-key writes) or
-    // synchronized through the AffineGate handshake before the window
-    // opened, so no record check is needed.
-    Word K = S.Keys->rawLoad(I, std::memory_order_acquire);
-    if (K == 0)
-      return false;
-    if (K != Key + 1)
-      continue;
-    Object *V =
-        Object::fromWord(S.Vals->rawLoad(I, std::memory_order_acquire));
-    if (!V)
-      return false; // Erased: the transactional insert path resurrects.
-    // Snapshot-visibility guard: once V has a version chain (a past
-    // transactional write — e.g. a CAS — published nodes for it),
-    // snapshot readers resolve V through the chain and a raw overwrite
-    // here would be permanently invisible to them, freezing snapshotGet
-    // at the last chained value. Fall back to the transactional insert
-    // (the caller's fallback path), which publishes a version node.
-    // Chain-less objects keep the raw store: snap::readAtEpoch reads
-    // them in place (the documented nt caveat, stm/Snapshot.h).
-    if (stm::config().SnapshotEnabled && stm::snap::tableEntries() != 0 &&
-        stm::snap::newestEpoch(V) != 0)
-      return false;
-    // No unlink race: erases of this shard run only under this window or
-    // behind the gate, never concurrently with it.
-    V->rawStore(0, Val, std::memory_order_release);
-    return true;
-  }
-  return false;
 }
 
 //===----------------------------------------------------------------------===
@@ -295,6 +265,34 @@ int Store::findSlotTxn(stm::Txn &Tx, const ShardRep &S, Word Key,
   return -1; // Full shard, no free slot either.
 }
 
+Object *Store::linkFresh(stm::Txn &Tx, FreshRecord &F, uint32_t Slot,
+                         Word Val) {
+  F.Slot = Slot;
+  F.Linked = true;
+  if (F.V) {
+    // Reused after an aborted attempt whose link may have published it:
+    // a doomed reader of the rolled-back link may still hold it, so
+    // write transactionally, as the harvested-record path does.
+    Tx.write(F.V, 0, Val);
+    return F.V;
+  }
+  // Born per config().birthState(): under DEA it stays private — invisible
+  // to every other thread — until the transactional ref store publishes it
+  // (§4), so its initializing rawStore needs no barrier.
+  F.V = H.allocate(&ValueType, stm::config().birthState());
+  F.V->rawStore(0, Val);
+  ValueAllocated.fetch_add(1, std::memory_order_relaxed);
+  return F.V;
+}
+
+void Store::parkUnlinked(uint32_t Shard, const FreshRecord &F,
+                         bool Committed) {
+  if (!F.V || (Committed && F.Linked))
+    return;
+  ValueRetired.fetch_add(1, std::memory_order_relaxed);
+  pushRetired(Shard, F.V, F.Slot);
+}
+
 OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
   assert(Val != Tombstone && "Tombstone is reserved");
   uint32_t Shard = shardOf(Key);
@@ -304,10 +302,12 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
   RetiredRecord Recycled{nullptr, 0, 0, 0};
   bool Harvested = popRecycled(Shard, Recycled);
   bool UsedRecycled = false;
+  FreshRecord Fresh;
   OpStatus St = OpStatus::Ok;
   OpStatus R = runBudgeted(B, St, [&](stm::Txn &Tx) {
     St = OpStatus::Ok;
     UsedRecycled = false;
+    Fresh.Linked = false;
     int FirstFree = -1;
     int Slot = findSlotTxn(Tx, S, Key, &FirstFree);
     int Target = Slot;
@@ -342,22 +342,15 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
     }
     Object *V;
     if (Harvested) {
-      // A recycled record is Shared and may have straggling optimistic
-      // readers from its previous key: write transactionally so the
-      // acquire arbitrates against them and the commit-time version bump
-      // (plus the published version node under SnapshotEnabled) kills
-      // their validation.
+      // A recycled record may have straggling optimistic readers from its
+      // previous key: write transactionally so the acquire arbitrates
+      // against them and the commit-time version bump (plus the published
+      // version node under SnapshotEnabled) kills their validation.
       V = Recycled.V;
       Tx.write(V, 0, Val);
       UsedRecycled = true;
     } else {
-      // Fresh record, born per config().birthState(): under DEA it stays
-      // private — invisible to every other thread — until the
-      // transactional ref store below publishes it (§4), so its
-      // initializing rawStore needs no barrier.
-      V = H.allocate(&ValueType, stm::config().birthState());
-      V->rawStore(0, Val);
-      ValueAllocated.fetch_add(1, std::memory_order_relaxed);
+      V = linkFresh(Tx, Fresh, uint32_t(Target), Val);
     }
     if (Slot < 0) {
       Tx.write(S.Keys, uint32_t(Target), Key + 1);
@@ -375,6 +368,7 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
     else // Unused (overwrite path or shed): park it again, slot intact.
       pushRetired(Shard, Recycled.V, Recycled.Slot);
   }
+  parkUnlinked(Shard, Fresh, R == OpStatus::Ok);
   return R;
 }
 
@@ -384,9 +378,14 @@ bool Store::insert(Word Key, Word Val) {
 
 OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
                          OpStatus *PerKey, const OpBudget &B) {
+  // Per-key fresh records, sized on the first fresh key: a batch of
+  // overwrites allocates nothing.
+  std::vector<FreshRecord> Fresh;
   OpStatus St = OpStatus::Ok;
-  return runBudgeted(B, St, [&](stm::Txn &Tx) {
+  OpStatus R = runBudgeted(B, St, [&](stm::Txn &Tx) {
     St = OpStatus::Ok;
+    for (FreshRecord &F : Fresh)
+      F.Linked = false;
     for (size_t I = 0; I < N; ++I) {
       assert(Vals[I] != Tombstone && "Tombstone is reserved");
       uint32_t Shard = shardOf(Keys[I]);
@@ -412,9 +411,9 @@ OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
         continue;
       }
       uint32_t Target = uint32_t(Slot >= 0 ? Slot : FirstFree);
-      Object *V = H.allocate(&ValueType, stm::config().birthState());
-      V->rawStore(0, Vals[I]);
-      ValueAllocated.fetch_add(1, std::memory_order_relaxed);
+      if (Fresh.empty())
+        Fresh.resize(N);
+      Object *V = linkFresh(Tx, Fresh[I], Target, Vals[I]);
       if (Slot < 0) {
         Tx.write(S.Keys, Target, Keys[I] + 1);
         Tx.write(S.Meta, 0, Tx.read(S.Meta, 0) + 1);
@@ -424,6 +423,9 @@ OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
       PerKey[I] = OpStatus::Ok;
     }
   });
+  for (size_t I = 0; I < Fresh.size(); ++I)
+    parkUnlinked(shardOf(Keys[I]), Fresh[I], R == OpStatus::Ok);
+  return R;
 }
 
 OpStatus Store::erase(Word Key, const OpBudget &B) {

@@ -170,33 +170,25 @@ public:
 
   /// Single-key overwrite of an *existing* key: one ntWrite into the value
   /// object. Returns false (and writes nothing) if the key has no index
-  /// entry yet — the caller must take the transactional insert path.
-  /// Writing over an erased key resurrects it, which is the natural upsert
-  /// reading of PUT. \p Val must not be Tombstone.
+  /// entry yet, if a Wal is attached, or if the value object has a
+  /// snapshot version chain (a raw store into it would be invisible to
+  /// snapshot readers) — the caller must take the transactional insert
+  /// path. \p Val must not be Tombstone.
   bool putFast(Word Key, Word Val);
 
   /// PUT: the fast path when the index entry exists, else a transactional
   /// insert. Returns false only if the shard is full.
   bool put(Word Key, Word Val);
 
-  /// Owner-side single-key overwrite for the shard-affine executor
-  /// (kv/Affine.h): plain loads for the probe and one release store for
-  /// the value — no record CAS at all. Caller must hold the shard's
-  /// AffineGate window open, which guarantees no other thread owns or
-  /// acquires the shard's records for the duration (concurrent
-  /// non-transactional GETs remain safe: they are per-slot atomic loads).
-  /// Returns false (writing nothing) when the key is absent or erased —
-  /// the caller falls through to the transactional insert, still inside
-  /// its owned window.
-  bool putFastOwned(Word Key, Word Val);
-
   //===--------------------------------------------------------------------===
   // Transactional plane (atomic multi-key operations).
   //===--------------------------------------------------------------------===
 
-  /// Inserts or overwrites \p Key atomically. Allocates the value object
-  /// inside the transaction (private until the ref store publishes it).
-  /// Returns false iff the shard's probe sequence is exhausted (full).
+  /// Inserts or overwrites \p Key atomically. A new key gets a recycled
+  /// value record or a fresh one (private until the ref store publishes
+  /// it); either way at most one record per call, however often the
+  /// transaction re-executes. Returns false iff the shard's probe sequence
+  /// is exhausted (full).
   bool insert(Word Key, Word Val);
 
   /// Atomically unlinks the key's value record (the index entry stays, so
@@ -301,10 +293,13 @@ public:
   /// Value-record lifecycle counters (memory-flatness tests). Live records
   /// = Allocated (records are recycled through the pools, never freed), so
   /// flat memory under churn shows up as Allocated plateauing while
-  /// Retired/Recycled keep climbing.
+  /// Retired/Recycled keep climbing. Once mutations quiesce, Allocated ==
+  /// linked records + PoolSize and PoolSize == Retired - Recycled.
   struct ReclaimStats {
     uint64_t Allocated; ///< Fresh value-record allocations (monotone).
-    uint64_t Retired;   ///< Records parked by erase (monotone).
+    uint64_t Retired;   ///< Records parked by erase, or allocated by an
+                        ///< insert whose committing attempt did not link
+                        ///< them (monotone).
     uint64_t Recycled;  ///< Parked records reused by insert (monotone).
     uint64_t PoolSize;  ///< Records currently parked across all shards.
   };
@@ -315,8 +310,8 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Attaches \p W: from here on every committing mutation registers a
-  /// publish-window redo append, and the raw single-key fast paths
-  /// (putFast, putFastOwned) refuse so all writes take the logged
+  /// publish-window redo append, and the raw single-key fast path
+  /// (putFast) refuses so all writes take the logged
   /// transactional path. Pass null to detach. The caller sequences this
   /// against in-flight operations (attach before workers start, detach
   /// after they join) and must have start()ed the Wal first.
@@ -338,8 +333,9 @@ private:
   /// (no pinned reader predates the unlink).
   struct RetiredRecord {
     rt::Object *V;
-    uint32_t Slot; ///< Index slot the record was unlinked from (the
-                   ///< tombstoned entry a saturated insert may recycle).
+    uint32_t Slot; ///< Index slot the record was unlinked from, or meant
+                   ///< for (an insert's unlinked fresh record): the entry
+                   ///< a saturated insert may recycle once tombstoned.
     uint64_t RetireEpoch;
     uint64_t RetireStable;
   };
@@ -361,6 +357,25 @@ private:
   /// epoch-blocked head, nudges the global epoch forward once so the
   /// next harvest succeeds (epochs stall when QuiesceOnCommit is off).
   bool popRecycled(uint32_t Shard, RetiredRecord &Out);
+
+  /// A fresh value record owned by one insert or multiPut call: the first
+  /// attempt that needs it allocates it, and later re-executions reuse it,
+  /// so an aborted attempt leaks nothing.
+  struct FreshRecord {
+    rt::Object *V = nullptr;
+    uint32_t Slot = 0;   ///< Index slot the latest attempt linked it at.
+    bool Linked = false; ///< The latest attempt linked it.
+  };
+
+  /// \p F's record holding \p Val, to be linked at index slot \p Slot by
+  /// the running attempt of \p Tx: allocated on first use, rewritten
+  /// transactionally on reuse.
+  rt::Object *linkFresh(stm::Txn &Tx, FreshRecord &F, uint32_t Slot,
+                        Word Val);
+
+  /// After the operation: parks \p F's record in \p Shard's pool unless
+  /// the committed attempt linked it (\p Committed false: nothing did).
+  void parkUnlinked(uint32_t Shard, const FreshRecord &F, bool Committed);
 
   /// Registers a publish-window redo append for the committing operation
   /// when a Wal is attached; no-op (one predicted branch) otherwise.

@@ -165,6 +165,8 @@ uint64_t snap::newestEpoch(Object *O) {
   return N ? N->Epoch : 0;
 }
 
+bool snap::hasChain(Object *O) { return findEntry(O) != nullptr; }
+
 void snap::publishNode(Object *O, VersionNode *N, uint64_t Epoch) {
   VersionEntry *E = findEntry(O);
   assert(E && "publishNode without a prior ensureBaseNode");

@@ -85,6 +85,12 @@ bool ensureBaseNode(rt::Object *O);
 /// Used for first-committer-wins conflict checks by snapshot writers.
 uint64_t newestEpoch(rt::Object *O);
 
+/// True if \p O has a version chain, even one holding only its epoch-0
+/// base node (left by a write that aborted). Snapshot readers resolve such
+/// an object through the chain and never read it in place, so a raw store
+/// into it would be invisible to them.
+bool hasChain(rt::Object *O);
+
 /// Allocates an unlinked, unstamped node sized for \p O. Returns null if
 /// the allocation was fault-injected; the caller unwinds (freeing any
 /// sibling nodes already allocated) and aborts.

@@ -114,9 +114,7 @@ const char *abortReasonKey(AbortReason R);
   X(SnapshotPublishes, "snapshot_publishes")                                   \
   X(SnapshotNodesFreed, "snapshot_nodes_freed")                               \
   X(PublishSessionWaits, "publish_session_waits")                             \
-  X(PublishRingWaits, "publish_ring_waits")                                   \
-  X(OwnedAcquires, "owned_acquires")                                           \
-  X(AffineHops, "affine_hops")
+  X(PublishRingWaits, "publish_ring_waits")
 
 /// Single-writer counter cell: incremented only by the owning thread, read
 /// by snapshotters. Relaxed load+store (not an atomic RMW) keeps the hot

@@ -142,12 +142,8 @@ void Txn::writeImpl(Object *O, uint32_t Slot, Word V, bool IsRef) {
     O->rawStore(Slot, V);
     return;
   }
-  if (!(TxRecord::isExclusive(W) && TxRecord::owner(W) == this)) {
-    if (OwnedFast && !SerialMode && TxRecord::isShared(W))
-      acquireOwned(O, Rec, W);
-    else
-      acquireForWrite(O, Rec);
-  }
+  if (!(TxRecord::isExclusive(W) && TxRecord::owner(W) == this))
+    acquireForWrite(O, Rec);
   if (TxnHooks *H = config().Hooks)
     if (H->AfterEagerAcquire)
       H->AfterEagerAcquire(*this, O, Slot);
@@ -207,36 +203,6 @@ void Txn::acquireForWrite(Object *O, std::atomic<Word> &Rec) {
     }
     // Exclusive-anonymous: a non-transactional writer is mid-update.
     contentionPause(B, Pauses, &Rec, W, /*IsRead=*/false);
-  }
-}
-
-void Txn::acquireOwned(Object *O, std::atomic<Word> &Rec, Word W) {
-  // Lazy stamp, same as acquireForWrite: the same transaction may still
-  // fall back to the full protocol on another record and enter arbitration
-  // there, where other threads' managers inspect the stamp.
-  if (StartStamp.load(std::memory_order_relaxed) == 0)
-    StartStamp.store(NextStartStamp.fetch_add(1, std::memory_order_relaxed),
-                     std::memory_order_release);
-  // Shared -> Exclusive with a plain release store: the shard gate
-  // guarantees no competing acquirer exists (foreign transactions are
-  // parked at the AffineGate and the owner runs one transaction at a
-  // time), so the Figure 8 CAS collapses to a store. An nt reader only
-  // loads the record, so the store publishes exactly what acquireExclusive
-  // would have.
-  Rec.store(TxRecord::makeExclusive(this), std::memory_order_release);
-  WriteLocks.push_back({&Rec, TxRecord::version(W)});
-  WriteLockIndex.insert(&Rec, uint32_t(WriteLocks.size() - 1));
-  if (config().CollectStats)
-    statsForThisThread().OwnedAcquires++;
-  if (config().SnapshotEnabled) {
-    // Same snapshot-plane duties as the full acquire path: first-committer-
-    // wins for snapshot transactions, and the epoch-0 base version for
-    // pinned readers. Both aborts are safe — the lock was pushed, nothing
-    // was written yet.
-    if (SnapMode && snap::newestEpoch(O) > SnapEpoch)
-      conflictAbort(AbortReason::WriteLockConflict);
-    if (!snap::ensureBaseNode(O))
-      conflictAbort(AbortReason::FaultInjected);
   }
 }
 

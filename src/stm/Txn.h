@@ -189,8 +189,6 @@ public:
   Word read(rt::Object *O, uint32_t Slot) {
     if (SnapMode)
       return snapshotRead(O, Slot);
-    if (OwnedFast && !SerialMode)
-      return readOwned(O, Slot);
     return readShared(O, Slot);
   }
 
@@ -285,10 +283,6 @@ public:
 
   /// True while this attempt is a snapshot transaction (runSnapshot).
   bool inSnapshot() const { return SnapMode; }
-
-  /// True while this thread's transactions take the owned-record fast
-  /// paths (OwnedFastScope held; shard-affine executor, DESIGN.md §11).
-  bool inOwnedFast() const { return OwnedFast; }
 
   /// The epoch a running snapshot transaction reads at; 0 otherwise.
   uint64_t snapshotEpoch() const { return SnapMode ? SnapEpoch : 0; }
@@ -425,25 +419,6 @@ private:
   /// Ordinary optimistic read: record probe, read-set logging, periodic
   /// validation (the pre-snapshot Txn::read body).
   Word readShared(rt::Object *O, uint32_t Slot);
-  /// Owned-record fast read (shard-affine executor, DESIGN.md §11): the
-  /// caller structurally guarantees — by holding the shard's AffineGate —
-  /// that no other thread acquires this object's record while the scope is
-  /// held, so a Shared record cannot change before commit: read in place
-  /// with no read-set logging and no validation. Record states outside
-  /// that guarantee (a straggling nt writer's Exclusive-anonymous hold, a
-  /// foreign owner) fall back to the full optimistic protocol, which logs
-  /// and validates as usual.
-  Word readOwned(rt::Object *O, uint32_t Slot) {
-    if (config().CollectStats)
-      ++PendingReads;
-    Word W = O->txRecord().load(std::memory_order_acquire);
-    if (TxRecord::isShared(W) || TxRecord::isPrivate(W) ||
-        (TxRecord::isExclusive(W) && TxRecord::owner(W) == this))
-      return O->rawLoad(Slot, std::memory_order_acquire);
-    if (config().CollectStats)
-      --PendingReads; // The full protocol re-counts.
-    return readShared(O, Slot);
-  }
   /// Record-probing snapshot read: private objects, read-your-writes, the
   /// explorer SnapshotRead yield point, and the version-chain walk.
   Word snapshotReadSlow(rt::Object *O, uint32_t Slot);
@@ -479,11 +454,6 @@ private:
 
   void writeImpl(rt::Object *O, uint32_t Slot, Word V, bool IsRef);
   void acquireForWrite(rt::Object *O, std::atomic<Word> &Rec);
-  /// Owned-record fast acquisition: Shared(\p W) -> Exclusive with a plain
-  /// release store instead of the CAS, no contention-manager entry. Only
-  /// called with OwnedFast set and \p W observed Shared; the AffineGate
-  /// contract makes the store race-free.
-  void acquireOwned(rt::Object *O, std::atomic<Word> &Rec, Word W);
   void logUndo(rt::Object *O, uint32_t Slot);
 
   /// The WriteLocks entry for a record this transaction owns, found through
@@ -562,12 +532,6 @@ private:
   bool SerialMode = false;
   /// This attempt is a snapshot transaction (runSnapshot).
   bool SnapMode = false;
-  /// This thread's transactions take the owned-record fast paths. Owned by
-  /// OwnedFastScope (set around Txn::run, not per attempt) and deliberately
-  /// untouched by resetState(): conflict re-executions of an owned region
-  /// keep the fast path — the caller still holds the shard gate.
-  bool OwnedFast = false;
-  friend class OwnedFastScope;
   /// The epoch pinned by the running snapshot transaction.
   uint64_t SnapEpoch = 0;
   /// Snapshot reads in flight, folded into the stats block at region end
@@ -579,30 +543,6 @@ private:
 template <typename F> bool atomically(F &&Body) {
   return Txn::run(std::forward<F>(Body));
 }
-
-/// RAII marker for the shard-affine executor (DESIGN.md §11): while the
-/// scope is held, outermost transactions on this thread take the
-/// owned-record fast paths — plain-store record acquisition, unlogged
-/// in-place reads, and no validation for records the owner provably holds.
-/// Contract: the caller must hold the target shard's AffineGate
-/// (stm/AffineGate.h) for the whole scope, which is what makes the
-/// CAS-free transitions race-free. The flag is set around Txn::run rather
-/// than per attempt so conflict re-executions (an nt straggler's kill, an
-/// injected fault) retry on the fast path without re-arming.
-class OwnedFastScope {
-public:
-  OwnedFastScope() : T(Txn::forThisThread()), Prev(T.OwnedFast) {
-    assert(!T.isActive() && "owned-fast scope inside an active transaction");
-    T.OwnedFast = true;
-  }
-  ~OwnedFastScope() { T.OwnedFast = Prev; }
-  OwnedFastScope(const OwnedFastScope &) = delete;
-  OwnedFastScope &operator=(const OwnedFastScope &) = delete;
-
-private:
-  Txn &T;
-  bool Prev;
-};
 
 } // namespace stm
 } // namespace satm

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The PR's two unbounded-memory holes, closed and held closed:
+// The runtime's unbounded-memory holes, closed and held closed:
 //
 //  - Tombstoned KV value records: erase parks the unlinked record in its
 //    shard's epoch-gated retire pool and insert recycles it once the
@@ -18,11 +18,15 @@
 //  - Snapshot version records: publication-time pruning keeps the global
 //    node count bounded under sustained overwrites when no snapshot pin
 //    holds history.
+//  - Aborted inserts: an insert or multiPut attempt that aborts after
+//    allocating a fresh value record hands it to its re-execution, so
+//    contended inserts allocate exactly one record per key.
 //
-// All three are asserted through the introspection counters this PR wired
-// up: Store::reclaimStats(), traceRegistryStats(), snap::liveNodes().
-// Runs in CI's TSan lane via the `stm` label; SATM_FAST_TESTS=1 shrinks
-// the churn volumes.
+// All of them are asserted through the introspection counters
+// Store::reclaimStats(), traceRegistryStats() and snap::liveNodes().
+// Runs in CI's TSan lane via the `stm` label and in the seeded fault
+// lanes (FAULT_TESTS in scripts/ci.sh); SATM_FAST_TESTS=1 shrinks the
+// churn volumes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,6 +105,74 @@ TEST(ChurnFlat, TombstoneChurnPlateausValueRecords) {
     ASSERT_TRUE(S.get(K, V));
     EXPECT_EQ(V, uint64_t(Rounds - 1) * NumKeys + K + 1);
   }
+}
+
+/// Four threads insert disjoint fresh keys into a one-shard store through
+/// \p InsertRange(S, First, Count). Every fresh insert writes the shard's
+/// Keys and Meta records, so the threads abort each other constantly; the
+/// reclamation identity must still be exact: each key links one record,
+/// and any record an attempt allocated but the committing attempt did not
+/// link sits in the pool.
+template <typename InsertRangeF>
+void expectContendedFreshInsertsLeakNothing(InsertRangeF InsertRange) {
+  Config Cfg;
+  Cfg.DeaEnabled = true;
+  ScopedConfig SC(Cfg);
+
+  constexpr unsigned Threads = 4;
+  const Word PerThread = fastTests() ? 2000 : 8000;
+  rt::Heap H;
+  StoreConfig KC;
+  KC.Shards = 1;
+  KC.CapacityPerShard = uint32_t(2 * Threads * PerThread);
+  Store S(H, KC);
+
+  const uint64_t AbortsBefore = statsSnapshot().TxnAborts;
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] { InsertRange(S, T * PerThread, PerThread); });
+  for (std::thread &T : Pool)
+    T.join();
+  const uint64_t Aborts = statsSnapshot().TxnAborts - AbortsBefore;
+
+  const Word Keys = Threads * PerThread;
+  ASSERT_EQ(S.size(), Keys);
+  Store::ReclaimStats RS = S.reclaimStats();
+  EXPECT_EQ(RS.Allocated, uint64_t(Keys) + RS.PoolSize)
+      << "an aborted attempt leaked its value record (" << Aborts
+      << " aborts)";
+  EXPECT_EQ(RS.PoolSize, RS.Retired - RS.Recycled);
+  for (Word K = 0; K < Keys; ++K) {
+    Word V = 0;
+    ASSERT_TRUE(S.get(K, V)) << "key " << K;
+    EXPECT_EQ(V, K + 1);
+  }
+}
+
+TEST(ChurnFlat, ContendedFreshInsertsLeakNoValueRecords) {
+  expectContendedFreshInsertsLeakNothing([](Store &S, Word First, Word N) {
+    for (Word K = First; K < First + N; ++K)
+      ASSERT_TRUE(S.insert(K, K + 1));
+  });
+}
+
+TEST(ChurnFlat, ContendedFreshMultiPutsLeakNoValueRecords) {
+  // The wire PUT path: batches of four fresh keys per transaction.
+  expectContendedFreshInsertsLeakNothing([](Store &S, Word First, Word N) {
+    constexpr size_t Batch = 4;
+    for (Word K = First; K < First + N; K += Batch) {
+      Word Keys[Batch], Vals[Batch];
+      OpStatus PerKey[Batch];
+      size_t Count = 0;
+      for (; Count < Batch && K + Count < First + N; ++Count) {
+        Keys[Count] = K + Count;
+        Vals[Count] = K + Count + 1;
+      }
+      ASSERT_EQ(S.multiPut(Keys, Vals, Count, PerKey), OpStatus::Ok);
+      for (size_t I = 0; I < Count; ++I)
+        ASSERT_EQ(PerKey[I], OpStatus::Ok);
+    }
+  });
 }
 
 TEST(ChurnFlat, TombstoneSaturatedShardRecyclesSlots) {

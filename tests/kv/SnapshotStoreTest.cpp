@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "kv/Affine.h"
 #include "kv/Store.h"
 #include "rt/Heap.h"
 #include "stm/Snapshot.h"
@@ -124,13 +123,13 @@ TEST_F(SnapshotStoreTest, ReadOnlyPhaseIsExactlyZeroAbort) {
   EXPECT_GE(C.SnapshotReads, uint64_t(Threads) * PerThread * 2);
 }
 
-TEST_F(SnapshotStoreTest, PutFastOwnedRefusesChainedObjects) {
+TEST_F(SnapshotStoreTest, PutFastRefusesChainedObjects) {
   Store S(H, tiny());
   ASSERT_TRUE(S.insert(5, 1000)); // Fresh record: no version chain yet.
 
-  // Chain-less object: the raw owned store is legal and snapshot reads
-  // see it in place (the documented nt caveat, stm/Snapshot.h).
-  EXPECT_TRUE(S.putFastOwned(5, 1500));
+  // Chain-less object: the raw store is legal and snapshot reads see it
+  // in place (the documented nt caveat, stm/Snapshot.h).
+  EXPECT_TRUE(S.putFast(5, 1500));
   Word V = 0;
   ASSERT_TRUE(S.snapshotGet(5, V));
   EXPECT_EQ(V, 1500u);
@@ -143,20 +142,48 @@ TEST_F(SnapshotStoreTest, PutFastOwnedRefusesChainedObjects) {
 
   // The regression: a raw store into a chained object is invisible to
   // snapshot readers forever (snapshotGet would stay frozen at the last
-  // chained value). putFastOwned must refuse so the affine put falls back
-  // to the transactional insert, which publishes.
-  EXPECT_FALSE(S.putFastOwned(5, 3000));
+  // chained value). putFast must refuse so put falls back to the
+  // transactional insert, which publishes.
+  EXPECT_FALSE(S.putFast(5, 3000));
   ASSERT_TRUE(S.snapshotGet(5, V));
   EXPECT_EQ(V, 2000u) << "the refused store must have no effect";
-  ASSERT_TRUE(S.insert(5, 3000)); // The fallback path the caller takes.
+  ASSERT_TRUE(S.put(5, 4000));
   ASSERT_TRUE(S.snapshotGet(5, V));
-  EXPECT_EQ(V, 3000u);
+  EXPECT_EQ(V, 4000u);
+  Word Out[1];
+  const Word Key = 5;
+  ASSERT_EQ(S.snapshotMultiGet(&Key, 1, Out), 1u);
+  EXPECT_EQ(Out[0], 4000u);
   Word Nt = 0;
   ASSERT_TRUE(S.get(5, Nt));
-  EXPECT_EQ(Nt, 3000u);
+  EXPECT_EQ(Nt, 4000u);
 }
 
-TEST_F(SnapshotStoreTest, AffineOwnedWritesStaySnapshotVisible) {
+TEST_F(SnapshotStoreTest, PutFastRefusesObjectsWithOnlyABaseVersion) {
+  Store S(H, tiny());
+  ASSERT_TRUE(S.insert(7, 100));
+
+  // A transactional write that rolls back leaves the epoch-0 base node it
+  // installed at acquire: the object is chained, though no version newer
+  // than the base was ever published.
+  EXPECT_FALSE(atomically([&] {
+    Txn &T = Txn::forThisThread();
+    T.write(S.valueObjectFor(7), 0, 999);
+    T.userAbort();
+  }));
+  ASSERT_TRUE(snap::hasChain(S.valueObjectFor(7)));
+  EXPECT_EQ(snap::newestEpoch(S.valueObjectFor(7)), 0u);
+
+  // Snapshot readers resolve it through the base node, so a raw store
+  // would leave them reading 100 forever: put must publish instead.
+  EXPECT_FALSE(S.putFast(7, 200));
+  ASSERT_TRUE(S.put(7, 300));
+  Word V = 0;
+  ASSERT_TRUE(S.snapshotGet(7, V));
+  EXPECT_EQ(V, 300u);
+}
+
+TEST_F(SnapshotStoreTest, PutWritesStaySnapshotVisible) {
   Config C;
   C.SnapshotEnabled = true;
   C.DeaEnabled = true;
@@ -176,9 +203,8 @@ TEST_F(SnapshotStoreTest, AffineOwnedWritesStaySnapshotVisible) {
     ASSERT_TRUE(S.insert(Keys[I], 1000)); // Overwrite: chains the record.
   }
 
-  // Solo affine executor: every put below runs the owned single-key path
-  // (putFastOwned, falling back to the transactional insert when refused).
-  AffineExec AX(S, 1);
+  // Every put below tries the raw single-key path first (putFast) and
+  // falls back to the transactional insert when refused.
   std::atomic<bool> WriterDone{false};
   std::atomic<uint64_t> Regressions{0};
 
@@ -203,7 +229,7 @@ TEST_F(SnapshotStoreTest, AffineOwnedWritesStaySnapshotVisible) {
 
   for (Word R = 1; R <= Rounds; ++R)
     for (int I = 0; I < NumKeys; ++I)
-      ASSERT_TRUE(AX.put(0, Keys[I], 1000 + R));
+      ASSERT_TRUE(S.put(Keys[I], 1000 + R));
   WriterDone.store(true, std::memory_order_release);
   Reader.join();
   EXPECT_EQ(Regressions.load(), 0u);

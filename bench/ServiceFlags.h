@@ -71,7 +71,7 @@ inline const char *validateServiceFlags(const ServiceFlags &F) {
            "wire for the same cores (drop --qps)";
   if (F.Serve && F.ThreadsSet)
     return "--serve replaces the closed-loop worker pool with I/O threads "
-           "and shard workers (use --io-threads/--workers, not --threads)";
+           "(use --io-threads, not --threads)";
   if (F.Serve && (F.Smoke || F.Suite))
     return "--serve runs until a SHUTDOWN frame or SIGINT; the "
            "--smoke/--suite time-budget harnesses drive in-process "
@@ -80,12 +80,11 @@ inline const char *validateServiceFlags(const ServiceFlags &F) {
     return "--io-threads configures the network event loop and does "
            "nothing without --serve (add --serve=addr:port)";
   if (F.NetBatchSet && !F.Serve)
-    return "--net-batch bounds the per-shard wire batch and does nothing "
+    return "--net-batch bounds the per-read wire batch and does nothing "
            "without --serve (add --serve=addr:port)";
-  if (F.Overload && !(F.Qps > 0) && !F.Serve)
+  if (F.Overload && !(F.Qps > 0))
     return "--overload is an open-loop experiment: without --qps there is "
-           "no offered rate to exceed capacity (add --qps, or shed at the "
-           "socket with --serve)";
+           "no offered rate to exceed capacity (add --qps)";
   if (F.Durability == kv::DurabilityMode::Sync && (F.Smoke || F.Suite))
     return "--durability=sync waits out an fsync per mutation, which the "
            "--smoke/--suite time budgets do not cover; the full suite runs "

@@ -26,7 +26,7 @@
 // tool probes the server's STATS counters and differences them, so every
 // point also reports the server-side requests-per-transaction batching
 // factor actually achieved at that load (net batching is load-dependent:
-// queues only form when arrivals outpace drains).
+// one read carries several requests only when arrivals outpace the server).
 //
 // Results go into net/* entries of the satm-bench-v8 JSON (BenchJson.h).
 //

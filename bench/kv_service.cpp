@@ -25,8 +25,7 @@
 //    what distinguishes a tail-latency harness from a throughput one.
 //
 // Every worker transacts against every shard through the one record
-// protocol; --serve's per-shard workers are what give served requests
-// their shard affinity.
+// protocol, and so does every --serve I/O thread: no thread owns a shard.
 //
 // Latencies go into per-thread log-bucketed histograms (≤3.2% relative
 // error) merged at the end; p50/p95/p99/p99.9 are reported in the table and
@@ -155,7 +154,8 @@ struct RunConfig {
   /// Overload control (the v4 degradation experiment).
   OverloadPolicy Policy = OverloadPolicy::None;
   uint64_t DeadlineUs = 0;  ///< Per-request deadline (0 = none).
-  uint32_t RetryBudget = 0; ///< Txn attempts per op under Shed (0 = ∞).
+  /// Txn attempts per op under Shed, or per request with --serve (0 = ∞).
+  uint32_t RetryBudget = 0;
   /// Contention-manager knobs forwarded to stm::Config.
   uint32_t IrrevocableAfterAborts = 0;
   bool Karma = false;
@@ -764,9 +764,7 @@ struct ServeOptions {
   std::string Host = "127.0.0.1";
   uint16_t Port = 0; ///< 0 = ephemeral; announced via --port-file.
   unsigned IoThreads = 1;
-  unsigned NetWorkers = 2;
   uint32_t NetBatch = 16;
-  uint32_t QueueCap = 1024;
   std::string PortFile;
 };
 
@@ -824,10 +822,7 @@ int runServe(const RunConfig &C, const ServeOptions &O) {
   NC.Host = O.Host;
   NC.Port = O.Port;
   NC.IoThreads = O.IoThreads;
-  NC.Workers = O.NetWorkers;
   NC.NetBatch = O.NetBatch;
-  NC.QueueCap = O.QueueCap;
-  NC.Shed = C.Policy == OverloadPolicy::Shed;
   NC.DeadlineUs = C.DeadlineUs;
   NC.RetryBudget = C.RetryBudget;
   NC.SyncWal = W && C.Dur == kv::DurabilityMode::Sync ? &*W : nullptr;
@@ -858,30 +853,28 @@ int runServe(const RunConfig &C, const ServeOptions &O) {
       return 1;
     }
   }
-  std::printf("kv_service: serving %s:%u (io=%u workers=%u batch=%u "
-              "overload=%s durability=%s)\n",
-              O.Host.c_str(), unsigned(Sv.port()), O.IoThreads, O.NetWorkers,
-              O.NetBatch, NC.Shed ? "shed" : "queue",
-              kv::durabilityModeName(C.Dur));
+  std::printf("kv_service: serving %s:%u (io=%u batch=%u deadline_us=%" PRIu64
+              " retry_budget=%u durability=%s)\n",
+              O.Host.c_str(), unsigned(Sv.port()), O.IoThreads, O.NetBatch,
+              C.DeadlineUs, C.RetryBudget, kv::durabilityModeName(C.Dur));
   std::fflush(stdout);
 
   while (!Sv.stopRequested())
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  // Ordered teardown (DESIGN.md §13): the server drains its queues and
-  // closes every socket before the WAL stops, so no late batch can append
-  // to a stopped log.
+  // Ordered teardown (DESIGN.md §13): the server joins its I/O threads —
+  // the only threads that run requests — and closes every socket before
+  // the WAL stops, so no late batch can append to a stopped log.
   Sv.stop();
   GServer.store(nullptr, std::memory_order_release);
   net::ServerStats St = Sv.stats();
   std::printf("kv_service: served %" PRIu64 " requests (%" PRIu64
               " responses, %" PRIu64 " bad frames), %" PRIu64
               " conns accepted, batch_avg %.2f, shed %" PRIu64
-              " queue-full + %" PRIu64 " deadline, max queue depth %" PRIu64
-              "\n",
+              ", max burst %" PRIu64 ", out high water %" PRIu64 " B\n",
               St.Requests, St.Responses, St.BadFrames, St.Accepted,
-              St.batchAvg(), St.ShedQueueFull, St.ShedDeadline,
-              St.MaxQueueDepth);
+              St.batchAvg(), St.ShedDeadline, St.MaxQueueDepth,
+              St.OutHighWater);
   if (W) {
     if (CP) {
       CP->stop();
@@ -939,14 +932,10 @@ int main(int argc, char **argv) {
     } else if ((V = Val("--io-threads="))) {
       SO.IoThreads = unsigned(std::atoi(V));
       IoThreadsSet = true;
-    } else if ((V = Val("--workers=")))
-      SO.NetWorkers = unsigned(std::atoi(V));
-    else if ((V = Val("--net-batch="))) {
+    } else if ((V = Val("--net-batch="))) {
       SO.NetBatch = uint32_t(std::atoi(V));
       NetBatchSet = true;
-    } else if ((V = Val("--queue-cap=")))
-      SO.QueueCap = uint32_t(std::atoi(V));
-    else if ((V = Val("--port-file=")))
+    } else if ((V = Val("--port-file=")))
       SO.PortFile = V;
     else if ((V = Val("--keys=")))
       Single.Keys = uint64_t(std::atoll(V));
@@ -1028,9 +1017,8 @@ int main(int argc, char **argv) {
           "                  [--karma]\n"
           "                  [--durability=off|async|sync] [--wal-dir=PATH]\n"
           "                  [--checkpoint-interval=N]\n"
-          "       kv_service --serve=ADDR:PORT [--io-threads=N] [--workers=N]\n"
-          "                  [--net-batch=N] [--queue-cap=N]\n"
-          "                  [--port-file=PATH] [--overload=shed]\n"
+          "       kv_service --serve=ADDR:PORT [--io-threads=N]\n"
+          "                  [--net-batch=N] [--port-file=PATH]\n"
           "                  [--deadline-us=N] [--retry-budget=N]\n"
           "                  [--keys=N] [--shards=N]\n"
           "                  [--durability=off|async|sync] [--wal-dir=PATH]\n"

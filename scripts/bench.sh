@@ -7,10 +7,10 @@
 # bench/kv_service --suite (the SATM-KV service with closed- and open-loop
 # load) at their fixed full sizes, and the loopback wire stage — a
 # kv_service --serve instance driven by bench/kv_loadgen over real TCP
-# sockets: an open-loop Poisson sweep for the SLO-capacity verdict
-# (queue mode), then a shed-mode server held at 2x the measured capacity
-# to show overload control keeping the tail bounded. The three JSONs are
-# merged into BENCH_satm.json at the repo root — the checked-in,
+# sockets: an open-loop Poisson sweep for the SLO-capacity verdict, then
+# a server with a per-request deadline and retry budget held at 2x the
+# measured capacity to show the budget keeping the tail bounded. The
+# JSONs are merged into BENCH_satm.json at the repo root — the checked-in,
 # machine-readable perf trajectory. The human-readable tables are
 # mirrored into BENCH_satm.raw.txt, a scratch file that stays untracked.
 #
@@ -66,7 +66,7 @@ EOF
 # Starts kv_service --serve in the background (ephemeral port published
 # through a port file), runs kv_loadgen against it, and waits the server
 # out. The loadgen's --stop-server SHUTDOWN frame ends the serve run, so
-# a clean exit here also certifies the drain-ordered teardown.
+# a clean exit here also certifies the ordered teardown.
 run_net_stage() { # port-file server-args... -- loadgen-args...
   local PORT_FILE="$1"; shift
   local SERVER_ARGS=()
@@ -90,8 +90,7 @@ if [ "$MODE" = smoke ]; then
   ./build/bench/kv_service --smoke --json=build/BENCH_kv_smoke.json
   # Wire smoke: one short open-loop point over loopback, enough to prove
   # the serve/loadgen handshake and the net JSON block end-to-end.
-  run_net_stage build/net_port_smoke --io-threads=1 --workers=2 \
-      --keys=16384 -- \
+  run_net_stage build/net_port_smoke --io-threads=2 --keys=16384 -- \
     --qps=20000 --duration=1 --conns=2 --keys=16384 --seed=2026 \
     --mode=smoke --json=build/BENCH_net_smoke.json
   merge_json build/BENCH_micro_smoke.json build/BENCH_kv_smoke.json \
@@ -101,34 +100,35 @@ else
   ./build/bench/perf_suite --json=build/BENCH_micro.json | tee BENCH_satm.raw.txt
   ./build/bench/kv_service --suite --json=build/BENCH_kv.json | tee -a BENCH_satm.raw.txt
 
-  echo "== net stage 1/2: open-loop capacity sweep (queue mode)" | tee -a BENCH_satm.raw.txt
-  run_net_stage build/net_port --io-threads=2 --workers=2 -- \
+  echo "== net stage 1/2: open-loop capacity sweep (no budget)" | tee -a BENCH_satm.raw.txt
+  run_net_stage build/net_port --io-threads=2 -- \
     --sweep=25000:400000:7 --duration=3 --conns=4 --seed=2026 \
     --json=build/BENCH_net_queue.json 2>&1 | tee -a BENCH_satm.raw.txt
 
-  # The shed server must answer overload with Overloaded/DeadlineExceeded
-  # frames instead of letting queueing delay take the tail to infinity.
-  # Two points: 2x the sweep's SLO-capacity verdict (the acceptance bar),
-  # and the sweep's top rate — where queue mode's p99.9 explodes — so the
-  # shed-vs-queue tail contrast is measured at the same offered load.
+  # The per-request budget (a 2 ms deadline from decode, four commit
+  # attempts) must answer overload with Overloaded/DeadlineExceeded frames
+  # instead of letting abort storms and fsync waits take the tail. Two
+  # points: 2x the sweep's SLO-capacity verdict (the acceptance bar), and
+  # the sweep's top rate, so the budgeted-vs-unbudgeted tail contrast is
+  # measured at the same offered load.
   CAPACITY=$(python3 -c '
 import json
 doc = json.load(open("build/BENCH_net_queue.json"))
 print(int(doc["benchmarks"][0]["net"]["slo_capacity"]))')
   if [ "$CAPACITY" -le 0 ]; then
     # A noisy box can miss the SLO at every sweep point (on 1 vCPU the
-    # p99 rides scheduling jitter). The shed-vs-queue contrast still
-    # needs an overload point: shed at the sweep's top rate instead.
-    echo "== slo_capacity 0 (no sweep point met the SLO): shedding at the sweep top" | tee -a BENCH_satm.raw.txt
+    # p99 rides scheduling jitter). The budget contrast still needs an
+    # overload point: run it at the sweep's top rate instead.
+    echo "== slo_capacity 0 (no sweep point met the SLO): budgeting at the sweep top" | tee -a BENCH_satm.raw.txt
     SHED_LOAD="--qps=400000"
   elif [ $((2 * CAPACITY)) -lt 400000 ]; then
     SHED_LOAD="--sweep=$((2 * CAPACITY)):400000:2"
   else
     SHED_LOAD="--qps=$((2 * CAPACITY))"
   fi
-  echo "== net stage 2/2: shed mode at 2x capacity (${CAPACITY} qps x 2) + sweep top" | tee -a BENCH_satm.raw.txt
-  run_net_stage build/net_port --io-threads=2 --workers=2 \
-      --overload=shed --deadline-us=2000 --retry-budget=4 -- \
+  echo "== net stage 2/2: per-request budget at 2x capacity (${CAPACITY} qps x 2) + sweep top" | tee -a BENCH_satm.raw.txt
+  run_net_stage build/net_port --io-threads=2 \
+      --deadline-us=2000 --retry-budget=4 -- \
     "$SHED_LOAD" --duration=5 --conns=4 --seed=2026 \
     --tag=shed --json=build/BENCH_net_shed.json 2>&1 | tee -a BENCH_satm.raw.txt
 

@@ -113,7 +113,7 @@ echo "== disk-fault degradation sub-lane (seeded log_enospc, live server)"
 rm -f build/net_port_enospc
 SATM_FAULTS="seed=23,log_enospc=0.02" ./build/bench/kv_service \
   --serve=127.0.0.1:0 --port-file=build/net_port_enospc --keys=16384 \
-  --io-threads=1 --workers=2 --durability=sync --checkpoint-interval=4096 &
+  --io-threads=2 --durability=sync --checkpoint-interval=4096 &
 ENOSPC_SERVER_PID=$!
 ./build/bench/kv_loadgen --port-file=build/net_port_enospc \
   --qps=5000 --duration=1 --conns=2 --keys=16384 --mode=smoke --retries=2 \
@@ -145,8 +145,7 @@ echo "== TSan net front-end fault lane"
 echo "== TSan loopback serve/loadgen smoke (real sockets end-to-end)"
 rm -f build-tsan/net_port_smoke
 ./build-tsan/bench/kv_service --serve=127.0.0.1:0 \
-  --port-file=build-tsan/net_port_smoke --keys=16384 --io-threads=1 \
-  --workers=2 &
+  --port-file=build-tsan/net_port_smoke --keys=16384 --io-threads=2 &
 NET_SERVER_PID=$!
 ./build-tsan/bench/kv_loadgen --port-file=build-tsan/net_port_smoke \
   --qps=5000 --duration=1 --conns=2 --keys=16384 --mode=smoke \

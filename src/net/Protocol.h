@@ -39,8 +39,9 @@
 /// closes the connection instead.
 ///
 /// Connections are pipelined: clients may have any number of requests in
-/// flight; responses come back in server completion order (per-shard
-/// batching reorders across shards), matched by correlation id.
+/// flight; responses come back in server completion order (the server
+/// batches each read's GETs, then its PUT/INSERTs, then the rest), matched
+/// by correlation id.
 ///
 /// The wire format is little-endian by fiat (every deployment target of
 /// this repo is LE); encode/decode go through memcpy so unaligned
@@ -109,9 +110,10 @@ const char *msgOpName(MsgOp Op);
 const char *statusName(Status S);
 
 /// Word indexes of the STATS response body (one u64 per counter, in this
-/// order). The loadgen samples STATS before and after a measurement
-/// window and differences the monotone counters (e.g. to report the
-/// server-side batch amortization actually achieved at each load point).
+/// order; a new word only ever goes at the end). The loadgen samples STATS
+/// before and after a measurement window and differences the monotone
+/// counters (e.g. to report the server-side batch amortization actually
+/// achieved at each load point).
 enum StatsField : unsigned {
   StatAccepted = 0,
   StatDroppedAccepts,
@@ -121,13 +123,14 @@ enum StatsField : unsigned {
   StatBadFrames,
   StatBatches,
   StatBatchedOps,
-  StatShedQueueFull,
-  StatShedDeadline,
-  StatMaxQueueDepth,
+  StatShedQueueFull, ///< Always 0: the server has no queue to fill.
+  StatShedDeadline,  ///< Requests answered Overloaded/DeadlineExceeded.
+  StatMaxQueueDepth, ///< Largest burst of requests executed from one read.
   /// Durability visibility (0 when the server runs without a WAL):
   StatWalDegraded,       ///< 1 once the WAL sealed into degraded mode.
   StatWalDroppedRecords, ///< Redo records discarded while degraded.
-  StatsWordCount, ///< Number of words in a STATS response body.
+  StatOutHighWater, ///< Most unflushed response bytes one connection held.
+  StatsWordCount,   ///< Number of words in a STATS response body.
 };
 static_assert(StatsWordCount <= MaxWordsPerFrame,
               "STATS body must fit one frame");

@@ -23,6 +23,7 @@
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
 
 using namespace satm;
 using namespace satm::net;
@@ -31,19 +32,26 @@ using namespace satm::net;
 // Internal state
 //===----------------------------------------------------------------------===//
 
-/// One client connection. The socket fd is touched only by the owning I/O
-/// thread; workers reach the connection solely through queueResponse(),
-/// which appends bytes under OutMutex and leaves the flushing to the I/O
-/// thread. Dead flips (under OutMutex) when the fd closes, turning any
-/// late worker append into a no-op instead of a write to a recycled fd.
+namespace {
+
+/// Bytes one read() may take from a connection per turn of the event loop.
+constexpr size_t ReadBytes = 16 * 1024;
+
+/// A connection holding more unflushed response bytes than this is not
+/// read again until EPOLLOUT flushes it back under the mark, so a client
+/// that stops reading meets TCP push-back instead of growing Out.
+constexpr size_t OutHighWater = 256 * 1024;
+
+} // namespace
+
+/// One client connection, touched only by its own I/O thread.
 struct Server::Conn {
   int Fd = -1;
-  unsigned IoIdx = 0;
   FrameDecoder Dec{/*Strict=*/true};
-  std::mutex OutMutex;
   std::vector<uint8_t> Out; ///< Encoded responses awaiting flush.
   size_t OutOff = 0;        ///< Flushed prefix of Out.
-  bool Dead = false;        ///< Set under OutMutex at close.
+  bool Ready = false;       ///< On the I/O thread's ready list.
+  bool ReadPaused = false;  ///< Out backlog past OutHighWater.
 };
 
 /// Per-I/O-thread state. Conns holds the owning references; epoll events
@@ -56,26 +64,13 @@ struct Server::IoState {
   std::mutex Mutex;               ///< Guards Incoming.
   std::vector<ConnPtr> Incoming;  ///< Accepted, not yet registered.
   std::vector<ConnPtr> Conns;     ///< I/O-thread-private after register.
-};
-
-/// A routed request parked in its shard's queue. The Frame is a plain
-/// value copy — the privatization boundary (see BufferPool.h): no I/O
-/// buffer memory ever crosses into a worker.
-struct Server::Request {
-  ConnPtr C;
-  Frame F;
-  Clock::time_point Arrival;
-};
-
-/// Per-worker shard queues. Worker w owns every shard s with
-/// s % Workers == w; the queue for shard s lives at index s / Workers.
-struct Server::WorkerState {
-  std::mutex M;
-  std::condition_variable Cv;
-  std::vector<std::deque<Request>> Queues;
-  uint64_t Pending = 0; ///< Total queued across Queues.
-  size_t NextQ = 0;     ///< Round-robin drain cursor.
-  std::thread Thr;
+  /// Connections with unread bytes, served one read each per turn.
+  std::vector<ConnPtr> Ready;
+  /// The data requests of the current read, each turned into its
+  /// response in place by runBatch().
+  std::vector<Frame> Batch;
+  Clock::time_point Decoded; ///< When the current read was decoded.
+  uint8_t ReadBuf[ReadBytes];
 };
 
 struct Server::Cells {
@@ -87,14 +82,14 @@ struct Server::Cells {
   std::atomic<uint64_t> BadFrames{0};
   std::atomic<uint64_t> Batches{0};
   std::atomic<uint64_t> BatchedOps{0};
-  std::atomic<uint64_t> ShedQueueFull{0};
   std::atomic<uint64_t> ShedDeadline{0};
   std::atomic<uint64_t> MaxQueueDepth{0};
+  std::atomic<uint64_t> OutHighWater{0};
 
-  void maxDepth(uint64_t D) {
-    uint64_t Cur = MaxQueueDepth.load(std::memory_order_relaxed);
-    while (D > Cur && !MaxQueueDepth.compare_exchange_weak(
-                          Cur, D, std::memory_order_relaxed))
+  static void raise(std::atomic<uint64_t> &Mark, uint64_t V) {
+    uint64_t Cur = Mark.load(std::memory_order_relaxed);
+    while (V > Cur &&
+           !Mark.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
       ;
   }
 };
@@ -121,6 +116,13 @@ Status toStatus(kv::OpStatus St) {
   return Status(uint8_t(St));
 }
 
+/// Turns request \p F into a bodyless response carrying \p St.
+void answer(Frame &F, Status St) {
+  F.Aux = uint8_t(St);
+  F.Count = 0;
+  F.Words = 0;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -129,9 +131,8 @@ Status toStatus(kv::OpStatus St) {
 
 Server::Server(kv::Store &S, const ServerConfig &Cfg) : S(S), Cfg(Cfg) {
   this->Cfg.IoThreads = std::clamp(this->Cfg.IoThreads, 1u, 64u);
-  this->Cfg.Workers = std::max(this->Cfg.Workers, 1u);
-  this->Cfg.NetBatch = std::max(this->Cfg.NetBatch, 1u);
-  this->Cfg.QueueCap = std::max(this->Cfg.QueueCap, 1u);
+  this->Cfg.NetBatch =
+      std::clamp(this->Cfg.NetBatch, 1u, uint32_t(MaxKeysPerFrame));
 }
 
 Server::~Server() { stop(); }
@@ -152,7 +153,6 @@ bool Server::start(std::string *Err) {
         ::close(I->WakeFd);
     }
     Io.clear();
-    Workers.clear();
     C.reset();
     return false;
   };
@@ -209,19 +209,9 @@ bool Server::start(std::string *Err) {
     Io.push_back(std::move(St));
   }
 
-  for (unsigned W = 0; W < Cfg.Workers; ++W) {
-    auto St = std::make_unique<WorkerState>();
-    // Shards owned by this worker: s % Workers == W.
-    size_t Owned = (S.shards() - W + Cfg.Workers - 1) / Cfg.Workers;
-    St->Queues.resize(std::max<size_t>(Owned, 1));
-    Workers.push_back(std::move(St));
-  }
-
   Started = true;
   for (unsigned I = 0; I < Cfg.IoThreads; ++I)
     Io[I]->Thr = std::thread([this, I] { ioLoop(I); });
-  for (unsigned W = 0; W < Cfg.Workers; ++W)
-    Workers[W]->Thr = std::thread([this, W] { workerLoop(W); });
   Acceptor = std::thread([this] { acceptorLoop(); });
   return true;
 }
@@ -240,7 +230,7 @@ void Server::stop() {
     return;
 
   // 1. Stop admitting: flag, close the listener. Frames decoded from this
-  //    point on answer Overloaded; nothing new reaches the shard queues.
+  //    point on answer Overloaded instead of running.
   requestStop();
   if (Acceptor.joinable())
     Acceptor.join();
@@ -251,19 +241,10 @@ void Server::stop() {
   // Shutdown frame and requestStop() signals through it. Retired after
   // they are joined.
 
-  // 2. Drain: workers run every queue down to empty, then exit (their
-  //    loop sees Stopping && Pending == 0). Their final responses land in
-  //    connection out-buffers and wake the I/O threads as usual.
-  for (auto &W : Workers) {
-    std::lock_guard<std::mutex> L(W->M);
-    W->Cv.notify_all();
-  }
-  for (auto &W : Workers)
-    if (W->Thr.joinable())
-      W->Thr.join();
-
-  // 3. Tear down I/O: final-flush each connection's pending bytes (with a
-  //    bounded politeness window), close every socket, exit, join.
+  // 2. Tear down I/O: final-flush each connection's pending bytes (with a
+  //    bounded politeness window), close every socket, exit, join. Every
+  //    request was answered by the thread that read it, so nothing waits
+  //    in between.
   IoStopping.store(true, std::memory_order_release);
   for (auto &I : Io)
     signalEventFd(I->WakeFd);
@@ -294,9 +275,9 @@ ServerStats Server::stats() const {
   R.BadFrames = C->BadFrames.load(std::memory_order_relaxed);
   R.Batches = C->Batches.load(std::memory_order_relaxed);
   R.BatchedOps = C->BatchedOps.load(std::memory_order_relaxed);
-  R.ShedQueueFull = C->ShedQueueFull.load(std::memory_order_relaxed);
   R.ShedDeadline = C->ShedDeadline.load(std::memory_order_relaxed);
   R.MaxQueueDepth = C->MaxQueueDepth.load(std::memory_order_relaxed);
+  R.OutHighWater = C->OutHighWater.load(std::memory_order_relaxed);
   return R;
 }
 
@@ -338,12 +319,11 @@ void Server::acceptorLoop() {
       unsigned Idx = unsigned(Seq % Cfg.IoThreads);
       auto Cn = std::make_shared<Conn>();
       Cn->Fd = Fd;
-      Cn->IoIdx = Idx;
       {
         std::lock_guard<std::mutex> L(Io[Idx]->Mutex);
         Io[Idx]->Incoming.push_back(std::move(Cn));
       }
-      wakeIo(Idx);
+      signalEventFd(Io[Idx]->WakeFd);
     }
   }
 }
@@ -351,8 +331,6 @@ void Server::acceptorLoop() {
 //===----------------------------------------------------------------------===//
 // I/O threads
 //===----------------------------------------------------------------------===//
-
-void Server::wakeIo(unsigned Idx) { signalEventFd(Io[Idx]->WakeFd); }
 
 void Server::registerIncoming(IoState &IoSt) {
   std::vector<ConnPtr> Fresh;
@@ -371,117 +349,137 @@ void Server::registerIncoming(IoState &IoSt) {
     }
     IoSt.Conns.push_back(Cn);
     // Bytes may have arrived before the ADD; with ET the registration
-    // reports current readiness, but drain defensively anyway.
-    readDrain(IoSt, Cn);
+    // reports current readiness, but read defensively anyway.
+    markReady(IoSt, Cn);
   }
 }
 
+void Server::markReady(IoState &IoSt, const ConnPtr &Cn) {
+  if (Cn->Ready)
+    return;
+  Cn->Ready = true;
+  IoSt.Ready.push_back(Cn);
+}
+
 void Server::closeConn(IoState &IoSt, const ConnPtr &Cn) {
-  {
-    std::lock_guard<std::mutex> L(Cn->OutMutex);
-    if (Cn->Dead)
-      return;
-    Cn->Dead = true;
-  }
+  if (Cn->Fd < 0)
+    return;
   ::epoll_ctl(IoSt.EpollFd, EPOLL_CTL_DEL, Cn->Fd, nullptr);
   ::close(Cn->Fd);
-  Cn->Fd = -1;
+  Cn->Fd = -1; // A stale entry on the ready list now skips it.
   auto It = std::find(IoSt.Conns.begin(), IoSt.Conns.end(), Cn);
   if (It != IoSt.Conns.end())
     IoSt.Conns.erase(It);
   C->Closed.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Server::readDrain(IoState &IoSt, const ConnPtr &Cn) {
-  std::unique_ptr<uint8_t[]> Buf = ReadBuffers.rent();
-  bool Close = false;
-  for (;;) {
-    size_t Cap = ReadBuffers.bufferBytes();
-    if (faultPoint(FaultSite::NetRead)) {
-      uint32_t Arg = FaultInjector::arg(FaultSite::NetRead);
-      Cap = std::min<size_t>(Cap, std::max<uint32_t>(Arg, 1));
-    }
-    ssize_t N = ::read(Cn->Fd, Buf.get(), Cap);
-    if (N > 0) {
-      Cn->Dec.feed(Buf.get(), size_t(N));
-      Frame F;
-      while (Cn->Dec.next(F))
-        handleFrame(IoSt, Cn, F);
-      if (Cn->Dec.failed()) {
-        C->BadFrames.fetch_add(1, std::memory_order_relaxed);
-        Close = true;
-        break;
-      }
-      continue; // Edge-triggered: keep reading until EAGAIN.
-    }
-    if (N == 0) { // Orderly peer close.
-      Close = true;
-      break;
-    }
-    if (errno == EINTR)
-      continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      break;
-    Close = true;
-    break;
+void Server::readOnce(IoState &IoSt, const ConnPtr &Cn) {
+  size_t Cap = ReadBytes;
+  if (faultPoint(FaultSite::NetRead)) {
+    uint32_t Arg = FaultInjector::arg(FaultSite::NetRead);
+    Cap = std::min<size_t>(Cap, std::max<uint32_t>(Arg, 1));
   }
-  ReadBuffers.giveBack(std::move(Buf));
-  if (Close)
+  ssize_t N;
+  do
+    N = ::read(Cn->Fd, IoSt.ReadBuf, Cap);
+  while (N < 0 && errno == EINTR);
+  if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+    return; // Drained: the next EPOLLIN edge makes it ready again.
+  if (N <= 0) { // Orderly peer close, or a socket error.
     closeConn(IoSt, Cn);
+    return;
+  }
+
+  if (Cfg.DeadlineUs)
+    IoSt.Decoded = Clock::now();
+  Cn->Dec.feed(IoSt.ReadBuf, size_t(N));
+  Frame F;
+  while (Cn->Dec.next(F)) {
+    if (F.Op == MsgOp::Stats || F.Op == MsgOp::Shutdown) {
+      answerControl(*Cn, F);
+      continue;
+    }
+    C->Requests.fetch_add(1, std::memory_order_relaxed);
+    if (Stopping.load(std::memory_order_acquire)) {
+      answer(F, Status::Overloaded); // Stopping: admit no new work.
+      respond(*Cn, F);
+      continue;
+    }
+    IoSt.Batch.push_back(F);
+  }
+  if (Cn->Dec.failed()) {
+    C->BadFrames.fetch_add(1, std::memory_order_relaxed);
+    IoSt.Batch.clear();
+    closeConn(IoSt, Cn);
+    return;
+  }
+  runBatch(IoSt, *Cn);
+
+  flushConn(IoSt, Cn);
+  if (Cn->Fd < 0)
+    return;
+  size_t Backlog = Cn->Out.size() - Cn->OutOff;
+  Cells::raise(C->OutHighWater, Backlog);
+  if (Backlog > OutHighWater)
+    Cn->ReadPaused = true; // flushConn() lifts it once the client reads.
+  else
+    markReady(IoSt, Cn); // Not at EAGAIN yet: back of the line.
 }
 
 void Server::flushConn(IoState &IoSt, const ConnPtr &Cn) {
-  bool Close = false;
-  {
-    std::lock_guard<std::mutex> L(Cn->OutMutex);
-    if (Cn->Dead || Cn->Fd < 0)
-      return;
-    while (Cn->OutOff < Cn->Out.size()) {
-      size_t N = Cn->Out.size() - Cn->OutOff;
-      if (faultPoint(FaultSite::NetWrite)) {
-        uint32_t Arg = FaultInjector::arg(FaultSite::NetWrite);
-        N = std::min<size_t>(N, std::max<uint32_t>(Arg, 1));
-      }
-      ssize_t W = ::write(Cn->Fd, Cn->Out.data() + Cn->OutOff, N);
-      if (W > 0) {
-        Cn->OutOff += size_t(W);
-        continue;
-      }
-      if (errno == EINTR)
-        continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        break; // Resume on the next EPOLLOUT edge.
-      Close = true;
-      break;
+  if (Cn->Fd < 0)
+    return;
+  while (Cn->OutOff < Cn->Out.size()) {
+    size_t N = Cn->Out.size() - Cn->OutOff;
+    if (faultPoint(FaultSite::NetWrite)) {
+      uint32_t Arg = FaultInjector::arg(FaultSite::NetWrite);
+      N = std::min<size_t>(N, std::max<uint32_t>(Arg, 1));
     }
-    if (Cn->OutOff == Cn->Out.size()) {
-      Cn->Out.clear();
-      Cn->OutOff = 0;
-    } else if (Cn->OutOff > 64 * 1024) {
-      Cn->Out.erase(Cn->Out.begin(),
-                    Cn->Out.begin() + std::ptrdiff_t(Cn->OutOff));
-      Cn->OutOff = 0;
+    // MSG_NOSIGNAL: a peer that reset mid-flush is an EPIPE here, never a
+    // process-killing SIGPIPE.
+    ssize_t W =
+        ::send(Cn->Fd, Cn->Out.data() + Cn->OutOff, N, MSG_NOSIGNAL);
+    if (W > 0) {
+      Cn->OutOff += size_t(W);
+      continue;
     }
-  }
-  if (Close)
+    if (W < 0 && errno == EINTR)
+      continue;
+    if (W < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+      break; // Resume on the next EPOLLOUT edge.
     closeConn(IoSt, Cn);
+    return;
+  }
+  if (Cn->OutOff == Cn->Out.size()) {
+    Cn->Out.clear();
+    Cn->OutOff = 0;
+  } else if (Cn->OutOff > 64 * 1024) {
+    Cn->Out.erase(Cn->Out.begin(),
+                  Cn->Out.begin() + std::ptrdiff_t(Cn->OutOff));
+    Cn->OutOff = 0;
+  }
+  if (Cn->ReadPaused && Cn->Out.size() - Cn->OutOff <= OutHighWater) {
+    Cn->ReadPaused = false;
+    markReady(IoSt, Cn);
+  }
 }
 
 void Server::ioLoop(unsigned Idx) {
   IoState &IoSt = *Io[Idx];
   epoll_event Evs[64];
+  std::vector<ConnPtr> Turn;
   for (;;) {
-    int N = ::epoll_wait(IoSt.EpollFd, Evs, 64, -1);
+    // A non-empty ready list still holds unread bytes: poll, don't block.
+    int N = ::epoll_wait(IoSt.EpollFd, Evs, 64, IoSt.Ready.empty() ? -1 : 0);
     if (N < 0) {
       if (errno == EINTR)
         continue;
       break;
     }
-    bool Woke = false;
     for (int E = 0; E < N; ++E) {
       if (Evs[E].data.ptr == nullptr) {
         drainEventFd(IoSt.WakeFd);
-        Woke = true;
+        registerIncoming(IoSt);
         continue;
       }
       // Re-validate: a close earlier in this batch may have dropped the
@@ -498,18 +496,23 @@ void Server::ioLoop(unsigned Idx) {
         closeConn(IoSt, Cn);
         continue;
       }
-      if (Evs[E].events & EPOLLIN)
-        readDrain(IoSt, Cn);
-      if (Cn->Fd >= 0 && (Evs[E].events & EPOLLOUT))
-        flushConn(IoSt, Cn);
+      if (Evs[E].events & EPOLLOUT)
+        flushConn(IoSt, Cn); // May lift a read pause.
+      if ((Evs[E].events & EPOLLIN) && Cn->Fd >= 0 && !Cn->ReadPaused)
+        markReady(IoSt, Cn);
     }
-    if (Woke) {
-      registerIncoming(IoSt);
-      // Worker nudge: flush every connection with pending bytes.
-      std::vector<ConnPtr> Snapshot = IoSt.Conns;
-      for (const ConnPtr &Cn : Snapshot)
-        flushConn(IoSt, Cn);
+
+    // Fairness: one read per ready connection per turn. A connection
+    // that has not reached EAGAIN re-queues itself behind the others, so
+    // a firehose client cannot starve its siblings.
+    Turn.swap(IoSt.Ready);
+    for (const ConnPtr &Cn : Turn) {
+      Cn->Ready = false;
+      if (Cn->Fd >= 0 && !Cn->ReadPaused)
+        readOnce(IoSt, Cn);
     }
+    Turn.clear();
+
     if (IoStopping.load(std::memory_order_acquire)) {
       registerIncoming(IoSt); // Strays accepted right before the stop.
       // Final flush with a bounded politeness window, then close all.
@@ -518,8 +521,7 @@ void Server::ioLoop(unsigned Idx) {
         std::vector<ConnPtr> Snapshot = IoSt.Conns;
         for (const ConnPtr &Cn : Snapshot) {
           flushConn(IoSt, Cn);
-          std::lock_guard<std::mutex> L(Cn->OutMutex);
-          AnyPending |= !Cn->Dead && Cn->OutOff < Cn->Out.size();
+          AnyPending |= Cn->Fd >= 0 && Cn->OutOff < Cn->Out.size();
         }
         if (!AnyPending)
           break;
@@ -534,31 +536,20 @@ void Server::ioLoop(unsigned Idx) {
 }
 
 //===----------------------------------------------------------------------===//
-// Request routing (I/O thread side)
+// Request execution (on the I/O thread that read the requests)
 //===----------------------------------------------------------------------===//
 
-int Server::queueResponse(const ConnPtr &Cn, MsgOp Op, Status St,
-                          uint64_t Cid, const kv::Word *Vals,
-                          uint16_t Count) {
-  Frame F;
-  F.Op = Op;
-  F.Aux = uint8_t(St);
-  F.Count = Count;
-  F.Cid = Cid;
-  F.Words = Count;
-  for (uint16_t I = 0; I < Count; ++I)
-    F.Body[I] = Vals[I];
+void Server::respond(Conn &Cn, const Frame &F) {
   uint8_t Enc[MaxFrameBytes];
   size_t Len = encodeFrame(Enc, F);
-  std::lock_guard<std::mutex> L(Cn->OutMutex);
-  if (Cn->Dead)
-    return -1;
-  Cn->Out.insert(Cn->Out.end(), Enc, Enc + Len);
+  Cn.Out.insert(Cn.Out.end(), Enc, Enc + Len);
   C->Responses.fetch_add(1, std::memory_order_relaxed);
-  return int(Cn->IoIdx);
+  if (F.status() == Status::Overloaded ||
+      F.status() == Status::DeadlineExceeded)
+    C->ShedDeadline.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Server::handleFrame(IoState &IoSt, const ConnPtr &Cn, const Frame &F) {
+void Server::answerControl(Conn &Cn, Frame &F) {
   if (F.Op == MsgOp::Stats) {
     ServerStats St = stats();
     kv::Word WalDegraded = 0, WalDropped = 0;
@@ -567,282 +558,157 @@ void Server::handleFrame(IoState &IoSt, const ConnPtr &Cn, const Frame &F) {
       WalDegraded = Ws.Degraded ? 1 : 0;
       WalDropped = Ws.DroppedRecords;
     }
+    // Word order is wire protocol (net/Protocol.h StatsField).
     kv::Word Body[StatsWordCount] = {
-        St.Accepted,  St.DroppedAccepts, St.Closed,        St.Requests,
-        St.Responses, St.BadFrames,      St.Batches,       St.BatchedOps,
-        St.ShedQueueFull, St.ShedDeadline, St.MaxQueueDepth,
-        WalDegraded,  WalDropped};
-    if (queueResponse(Cn, F.Op, Status::Ok, F.Cid, Body, StatsWordCount) >= 0)
-      flushConn(IoSt, Cn);
-    return;
-  }
-  if (F.Op == MsgOp::Shutdown) {
-    // Stop first, then ack: a client that has seen the Ok frame may rely
-    // on stopRequested() already reading true.
+        St.Accepted,  St.DroppedAccepts, St.Closed,     St.Requests,
+        St.Responses, St.BadFrames,      St.Batches,    St.BatchedOps,
+        /*StatShedQueueFull=*/0, St.ShedDeadline, St.MaxQueueDepth,
+        WalDegraded,  WalDropped,        St.OutHighWater};
+    answer(F, Status::Ok);
+    F.Count = F.Words = StatsWordCount;
+    std::copy(Body, Body + StatsWordCount, F.Body);
+  } else {
+    // Shutdown: stop first, then ack — a client that has seen the Ok
+    // frame may rely on stopRequested() already reading true.
     requestStop();
-    if (queueResponse(Cn, F.Op, Status::Ok, F.Cid, nullptr, 0) >= 0)
-      flushConn(IoSt, Cn);
-    return;
+    answer(F, Status::Ok);
   }
-
-  C->Requests.fetch_add(1, std::memory_order_relaxed);
-  if (Stopping.load(std::memory_order_acquire)) {
-    // Draining: answer instead of queueing, so stop() never races new work.
-    if (queueResponse(Cn, F.Op, Status::Overloaded, F.Cid, nullptr, 0) >= 0)
-      flushConn(IoSt, Cn);
-    return;
-  }
-
-  uint32_t Shard = S.shardOf(F.Body[0]);
-  unsigned W = Shard % Cfg.Workers;
-  size_t Local = Shard / Cfg.Workers;
-  WorkerState &Wk = *Workers[W];
-  {
-    std::lock_guard<std::mutex> L(Wk.M);
-    std::deque<Request> &Q = Wk.Queues[Local];
-    if (Cfg.Shed && Q.size() >= Cfg.QueueCap) {
-      C->ShedQueueFull.fetch_add(1, std::memory_order_relaxed);
-      if (queueResponse(Cn, F.Op, Status::Overloaded, F.Cid, nullptr, 0) >= 0)
-        flushConn(IoSt, Cn);
-      return;
-    }
-    Q.push_back(Request{Cn, F, Clock::now()});
-    ++Wk.Pending;
-    C->maxDepth(Q.size());
-  }
-  Wk.Cv.notify_one();
+  respond(Cn, F);
 }
 
-//===----------------------------------------------------------------------===//
-// Shard workers
-//===----------------------------------------------------------------------===//
-
-void Server::workerLoop(unsigned Idx) {
-  WorkerState &W = *Workers[Idx];
-  std::vector<Request> Batch;
-  Batch.reserve(Cfg.NetBatch);
-  std::unique_lock<std::mutex> L(W.M);
-  for (;;) {
-    W.Cv.wait(L, [&] {
-      return W.Pending > 0 || Stopping.load(std::memory_order_acquire);
-    });
-    if (W.Pending == 0) {
-      if (Stopping.load(std::memory_order_acquire))
-        break;
-      continue;
-    }
-    if (Cfg.WorkerDelayUs) { // Test hook: let a burst pile up first.
-      L.unlock();
-      std::this_thread::sleep_for(std::chrono::microseconds(Cfg.WorkerDelayUs));
-      L.lock();
-    }
-    // Round-robin across owned shards; drain up to NetBatch from one.
-    Batch.clear();
-    size_t NQ = W.Queues.size();
-    for (size_t Probe = 0; Probe < NQ; ++Probe) {
-      std::deque<Request> &Q = W.Queues[(W.NextQ + Probe) % NQ];
-      if (Q.empty())
-        continue;
-      W.NextQ = (W.NextQ + Probe + 1) % NQ;
-      size_t Take = std::min<size_t>(Q.size(), Cfg.NetBatch);
-      for (size_t I = 0; I < Take; ++I) {
-        Batch.push_back(std::move(Q.front()));
-        Q.pop_front();
-      }
-      W.Pending -= Take;
-      break;
-    }
-    if (Batch.empty())
-      continue;
-    L.unlock();
-    executeBatch(Batch, W);
-    L.lock();
-  }
-}
-
-void Server::executeBatch(std::vector<Request> &Batch, WorkerState &) {
-  // One pending response per request; held until the batch's effects are
-  // durable (SyncWal) so a client ack always survives a crash.
-  struct PendingResp {
-    ConnPtr C;
-    MsgOp Op;
-    Status St;
-    uint64_t Cid;
-    uint16_t Count = 0;
-    kv::Word Vals[MaxKeysPerFrame] = {};
-  };
-  std::vector<PendingResp> Resps;
-  Resps.reserve(Batch.size());
-  auto Respond = [&](const Request &R, Status St, const kv::Word *Vals,
-                     uint16_t Count) {
-    PendingResp P;
-    P.C = R.C;
-    P.Op = R.F.Op;
-    P.St = St;
-    P.Cid = R.F.Cid;
-    P.Count = Count;
-    for (uint16_t I = 0; I < Count; ++I)
-      P.Vals[I] = Vals[I];
-    Resps.push_back(std::move(P));
-  };
-
-  // Dequeue-side shed: a request that already overstayed its deadline in
-  // the queue is answered without burning a transaction on it.
-  Clock::time_point Now{};
-  if (Cfg.Shed && Cfg.DeadlineUs)
-    Now = Clock::now();
-  Clock::time_point Earliest = Clock::time_point::max();
-
-  std::vector<const Request *> Gets, Puts, Others;
-  for (const Request &R : Batch) {
-    if (Cfg.Shed && Cfg.DeadlineUs) {
-      auto Deadline = R.Arrival + std::chrono::microseconds(Cfg.DeadlineUs);
-      if (Now > Deadline) {
-        C->ShedDeadline.fetch_add(1, std::memory_order_relaxed);
-        Respond(R, Status::DeadlineExceeded, nullptr, 0);
-        continue;
-      }
-    }
-    Earliest = std::min(Earliest, R.Arrival);
-    switch (R.F.Op) {
-    case MsgOp::Get:
-      Gets.push_back(&R);
-      break;
-    case MsgOp::Put:
-    case MsgOp::Insert:
-      Puts.push_back(&R);
-      break;
-    default:
-      Others.push_back(&R);
-      break;
-    }
-  }
+void Server::runBatch(IoState &IoSt, Conn &Cn) {
+  std::vector<Frame> &Batch = IoSt.Batch;
+  if (Batch.empty())
+    return;
+  Cells::raise(C->MaxQueueDepth, Batch.size());
 
   kv::OpBudget B;
-  if (Cfg.Shed) {
-    B.MaxAttempts = Cfg.RetryBudget;
-    if (Cfg.DeadlineUs && Earliest != Clock::time_point::max())
-      B.Deadline = Earliest + std::chrono::microseconds(Cfg.DeadlineUs);
-  }
+  B.MaxAttempts = Cfg.RetryBudget;
+  if (Cfg.DeadlineUs)
+    B.Deadline = IoSt.Decoded + std::chrono::microseconds(Cfg.DeadlineUs);
 
-  // Same-shard single-key GETs: one multiGet transaction per chunk. This
-  // is the amortization the front end exists for — one serialization
-  // point, one read-set validation, N network requests.
-  kv::Word Keys[MaxKeysPerFrame], Vals[MaxKeysPerFrame];
-  for (size_t At = 0; At < Gets.size(); At += MaxKeysPerFrame) {
-    size_t N = std::min(Gets.size() - At, MaxKeysPerFrame);
-    for (size_t I = 0; I < N; ++I)
-      Keys[I] = Gets[At + I]->F.Body[0];
-    kv::OpStatus St = S.multiGet(Keys, N, Vals, B);
-    C->Batches.fetch_add(1, std::memory_order_relaxed);
-    C->BatchedOps.fetch_add(N, std::memory_order_relaxed);
-    for (size_t I = 0; I < N; ++I) {
-      const Request &R = *Gets[At + I];
-      if (St != kv::OpStatus::Ok)
-        Respond(R, toStatus(St), nullptr, 0);
-      else if (Vals[I] == kv::Store::Tombstone)
-        Respond(R, Status::NotFound, nullptr, 0);
-      else
-        Respond(R, Status::Ok, &Vals[I], 1);
-    }
-  }
-
-  // Same-shard PUT/INSERTs: one multiPut transaction per chunk. A per-key
-  // Full falls back to the single-key insert path, which harvests the
-  // retire pools (multiPut deliberately does not).
-  kv::OpStatus PerKey[MaxKeysPerFrame];
-  for (size_t At = 0; At < Puts.size(); At += MaxKeysPerFrame) {
-    size_t N = std::min(Puts.size() - At, MaxKeysPerFrame);
-    for (size_t I = 0; I < N; ++I) {
-      Keys[I] = Puts[At + I]->F.Body[0];
-      Vals[I] = Puts[At + I]->F.Body[1];
-    }
-    kv::OpStatus St = S.multiPut(Keys, Vals, N, PerKey, B);
-    C->Batches.fetch_add(1, std::memory_order_relaxed);
-    C->BatchedOps.fetch_add(N, std::memory_order_relaxed);
-    for (size_t I = 0; I < N; ++I) {
-      const Request &R = *Puts[At + I];
-      if (St != kv::OpStatus::Ok) {
-        Respond(R, toStatus(St), nullptr, 0);
+  // Runs \p RunChunk over the batch's frames whose op \p IsKind accepts,
+  // NetBatch of them at a time.
+  auto ForChunks = [&](auto IsKind, auto RunChunk) {
+    Frame *Chunk[MaxKeysPerFrame];
+    size_t N = 0;
+    for (Frame &F : Batch) {
+      if (!IsKind(F.Op))
         continue;
+      Chunk[N++] = &F;
+      if (N == Cfg.NetBatch) {
+        RunChunk(Chunk, N);
+        N = 0;
       }
-      kv::OpStatus KSt = PerKey[I];
-      if (KSt == kv::OpStatus::Full)
-        KSt = S.insert(Keys[I], Vals[I], B); // Recycling retry.
-      Respond(R, toStatus(KSt), nullptr, 0);
     }
-  }
+    if (N)
+      RunChunk(Chunk, N);
+  };
+  kv::Word Keys[MaxKeysPerFrame], Vals[MaxKeysPerFrame];
+
+  // Single-key GETs: one multiGet transaction per chunk. This is the
+  // amortization the front end exists for — one serialization point, one
+  // read-set validation, N network requests, from any mix of shards.
+  ForChunks([](MsgOp Op) { return Op == MsgOp::Get; },
+            [&](Frame **Chunk, size_t N) {
+              for (size_t I = 0; I < N; ++I)
+                Keys[I] = Chunk[I]->Body[0];
+              kv::OpStatus St = S.multiGet(Keys, N, Vals, B);
+              C->Batches.fetch_add(1, std::memory_order_relaxed);
+              C->BatchedOps.fetch_add(N, std::memory_order_relaxed);
+              for (size_t I = 0; I < N; ++I) {
+                Frame &F = *Chunk[I];
+                if (St != kv::OpStatus::Ok) {
+                  answer(F, toStatus(St));
+                } else if (Vals[I] == kv::Store::Tombstone) {
+                  answer(F, Status::NotFound);
+                } else {
+                  answer(F, Status::Ok);
+                  F.Count = F.Words = 1;
+                  F.Body[0] = Vals[I];
+                }
+              }
+            });
+
+  // PUT/INSERTs: one multiPut transaction per chunk. A per-key Full
+  // falls back to the single-key insert path, which harvests the retire
+  // pools (multiPut deliberately does not).
+  ForChunks(
+      [](MsgOp Op) { return Op == MsgOp::Put || Op == MsgOp::Insert; },
+      [&](Frame **Chunk, size_t N) {
+        for (size_t I = 0; I < N; ++I) {
+          Keys[I] = Chunk[I]->Body[0];
+          Vals[I] = Chunk[I]->Body[1];
+        }
+        kv::OpStatus PerKey[MaxKeysPerFrame];
+        kv::OpStatus St = S.multiPut(Keys, Vals, N, PerKey, B);
+        C->Batches.fetch_add(1, std::memory_order_relaxed);
+        C->BatchedOps.fetch_add(N, std::memory_order_relaxed);
+        for (size_t I = 0; I < N; ++I) {
+          kv::OpStatus KSt = St == kv::OpStatus::Ok ? PerKey[I] : St;
+          if (KSt == kv::OpStatus::Full)
+            KSt = S.insert(Keys[I], Vals[I], B); // Recycling retry.
+          answer(*Chunk[I], toStatus(KSt));
+        }
+      });
 
   // The rest run one transaction each, in arrival order.
-  for (const Request *RP : Others) {
-    const Request &R = *RP;
-    const Frame &F = R.F;
+  for (Frame &F : Batch) {
     switch (F.Op) {
     case MsgOp::Erase:
-      Respond(R, toStatus(S.erase(F.Body[0], B)), nullptr, 0);
+      answer(F, toStatus(S.erase(F.Body[0], B)));
       break;
     case MsgOp::Cas:
-      Respond(R, toStatus(S.cas(F.Body[0], F.Body[1], F.Body[2], B)), nullptr,
-              0);
+      answer(F, toStatus(S.cas(F.Body[0], F.Body[1], F.Body[2], B)));
       break;
     case MsgOp::MultiGet: {
-      kv::Word Out[MaxKeysPerFrame];
-      kv::OpStatus St = S.multiGet(F.Body, F.Count, Out, B);
-      if (St == kv::OpStatus::Ok)
-        Respond(R, Status::Ok, Out, F.Count);
-      else
-        Respond(R, toStatus(St), nullptr, 0);
+      const uint16_t Count = F.Count;
+      kv::OpStatus St = S.multiGet(F.Body, Count, Vals, B);
+      answer(F, toStatus(St));
+      if (St == kv::OpStatus::Ok) {
+        F.Count = F.Words = Count;
+        std::copy(Vals, Vals + Count, F.Body);
+      }
       break;
     }
     case MsgOp::Rmw:
-      Respond(R, toStatus(S.rmwAdd(F.Body, F.Count, F.Body[F.Count], B)),
-              nullptr, 0);
+      answer(F, toStatus(S.rmwAdd(F.Body, F.Count, F.Body[F.Count], B)));
       break;
     default:
-      Respond(R, Status::BadRequest, nullptr, 0);
-      break;
+      break; // GET/PUT/INSERT: answered by their chunks above.
     }
   }
 
-  // Durability gate: no ack leaves before the batch's redo records are
-  // fsynced. lastAppendedLsn() is taken after the last commit above, so
-  // it covers every mutation in the batch. The wait is bounded by the
-  // request deadline when one is configured (a wedged disk must not
-  // block the worker forever), and a degraded WAL reports immediately.
-  // On either non-Ok verdict the committed mutations in this batch are
-  // re-acked honestly: their in-memory effect stands, but the sync
-  // durability promise does not — DeadlineExceeded (unknown yet) or
-  // DurabilityLost (never). Read results are untouched: they never
-  // promised durability.
+  // Durability gate: no ack leaves before the read's redo records are
+  // fsynced. lastAppendedLsn() is this thread's, taken after the last
+  // commit above, so it covers every mutation in the batch. The wait is
+  // bounded by the request deadline when one is configured (a wedged
+  // disk must not block the I/O thread forever), and a degraded WAL
+  // reports immediately. On either non-Ok verdict the committed
+  // mutations are re-acked honestly: their in-memory effect stands, but
+  // the sync durability promise does not — DeadlineExceeded (unknown
+  // yet) or DurabilityLost (never). Read results are untouched: they
+  // never promised durability.
   if (Cfg.SyncWal) {
-    kv::DurableWait Verdict;
-    if (Cfg.DeadlineUs && Earliest != Clock::time_point::max())
-      Verdict = Cfg.SyncWal->waitDurable(
-          kv::Wal::lastAppendedLsn(),
-          Earliest + std::chrono::microseconds(Cfg.DeadlineUs));
-    else
-      Verdict = Cfg.SyncWal->waitDurable(kv::Wal::lastAppendedLsn());
+    kv::DurableWait Verdict =
+        Cfg.DeadlineUs
+            ? Cfg.SyncWal->waitDurable(kv::Wal::lastAppendedLsn(), B.Deadline)
+            : Cfg.SyncWal->waitDurable(kv::Wal::lastAppendedLsn());
     if (Verdict != kv::DurableWait::Ok) {
       const Status Downgrade = Verdict == kv::DurableWait::DurabilityLost
                                    ? Status::DurabilityLost
                                    : Status::DeadlineExceeded;
-      for (PendingResp &P : Resps) {
-        const bool Mutation = P.Op == MsgOp::Put || P.Op == MsgOp::Insert ||
-                              P.Op == MsgOp::Erase || P.Op == MsgOp::Cas ||
-                              P.Op == MsgOp::Rmw;
-        if (Mutation && P.St == Status::Ok)
-          P.St = Downgrade;
+      for (Frame &F : Batch) {
+        const bool Mutation = F.Op == MsgOp::Put || F.Op == MsgOp::Insert ||
+                              F.Op == MsgOp::Erase || F.Op == MsgOp::Cas ||
+                              F.Op == MsgOp::Rmw;
+        if (Mutation && F.status() == Status::Ok)
+          F.Aux = uint8_t(Downgrade);
       }
     }
   }
 
-  uint64_t WakeMask = 0;
-  for (PendingResp &P : Resps) {
-    int IoIdx = queueResponse(P.C, P.Op, P.St, P.Cid, P.Vals, P.Count);
-    if (IoIdx >= 0)
-      WakeMask |= uint64_t(1) << unsigned(IoIdx);
-  }
-  for (unsigned I = 0; I < Cfg.IoThreads; ++I)
-    if (WakeMask & (uint64_t(1) << I))
-      wakeIo(I);
+  for (const Frame &F : Batch)
+    respond(Cn, F);
+  Batch.clear();
 }

@@ -6,43 +6,38 @@
 ///
 /// \file
 /// The network front end that promotes kv_service from an in-process
-/// driver to a real TCP server (DESIGN.md §13). Three thread roles:
+/// driver to a real TCP server (DESIGN.md §13). Two thread roles:
 ///
-///  - one *acceptor* blocks in epoll on the listening socket, hands
+///  - one *acceptor* blocks in poll on the listening socket and hands
 ///    accepted connections round-robin to the I/O threads;
 ///  - N *I/O threads*, each with its own edge-triggered epoll set, own
-///    the sockets: they drain reads until EAGAIN, feed the incremental
-///    frame decoder (net/Codec.h), route decoded requests into per-shard
-///    queues, and flush response bytes back out (partial writes resume
-///    on the next EPOLLOUT edge);
-///  - M *shard workers*, each owning the shards s with s % M == w, pop
-///    up to NetBatch queued requests of one shard at a time and execute
-///    them against kv::Store — batching same-shard single-key GETs into
-///    one multiGet transaction and PUT/INSERTs into one multiPut
-///    transaction, so one commit (one publish ticket, one WAL group)
-///    amortizes N network requests. This is the batching the aggregated
-///    barriers and publish tickets were built to support.
+///    their sockets outright and run every request to completion: one
+///    read feeds the incremental frame decoder (net/Codec.h), the I/O
+///    thread executes the decoded requests against kv::Store itself,
+///    appends the responses to the connection's outbound buffer, and
+///    flushes (partial writes resume on the next EPOLLOUT edge).
 ///
-/// Only decoded Frame values cross from I/O threads into workers — never
-/// I/O buffer memory (support/BufferPool.h documents the privatization
-/// argument). Only the owning I/O thread ever touches a socket fd;
-/// workers hand response bytes over via the connection's outbound buffer
-/// and an eventfd nudge.
+/// Batching is per read: the single-key GETs of one read fold into
+/// multiGet transactions of at most NetBatch keys, PUT/INSERTs into
+/// multiPut transactions, so one commit (one publish ticket, one WAL
+/// group) amortizes N network requests; the rest run one transaction
+/// each. Chunks may mix shards — isolation comes from the STM's
+/// transaction records and barriers, not from which thread transacts.
+/// No request and no buffer ever crosses threads.
 ///
-/// Overload control at the socket (PR 5's OpBudget, now end-to-end):
-/// with Cfg.Shed, a request arriving to a full shard queue is answered
-/// with an Overloaded status frame instead of queued, a request whose
-/// queueing delay already exceeds its deadline is shed at dequeue, and
-/// each executed batch carries a retry/deadline budget so abort storms
-/// cannot convert into unbounded latency. Without Shed, queues are
-/// unbounded and queueing delay goes to the tail — the measured contrast
-/// in EXPERIMENTS.md.
+/// Overload control: each request carries an OpBudget of RetryBudget
+/// attempts and a DeadlineUs deadline counted from decode, so abort
+/// storms cannot turn into unbounded latency. Memory and fairness are
+/// bounded by TCP push-back instead of queues: a connection holding
+/// more than 256 KiB of unflushed responses is not read again until
+/// EPOLLOUT flushes it back under that mark, and each ready connection
+/// gets one 16 KiB read per turn of its I/O thread's event loop.
 ///
 /// Shutdown (stop()) is ordered so TSan-clean teardown is structural:
-/// close the listener, stop admitting (in-flight frames decoded after
-/// the stop answer Overloaded), drain every shard queue, join workers,
-/// then final-flush and close every connection and join the I/O threads.
-/// The caller detaches/stops an attached Wal afterwards.
+/// close the listener, stop admitting (frames decoded after the stop
+/// answer Overloaded), then final-flush and close every connection and
+/// join the I/O threads. There is no queue to drain. The caller
+/// detaches/stops an attached Wal afterwards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,12 +46,9 @@
 
 #include "kv/Store.h"
 #include "net/Codec.h"
-#include "support/BufferPool.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -72,19 +64,17 @@ struct ServerConfig {
   std::string Host = "127.0.0.1";
   uint16_t Port = 0;    ///< 0 = kernel-assigned; read back via port().
   unsigned IoThreads = 1;
-  unsigned Workers = 1; ///< Shard-batch executor threads.
-  uint32_t NetBatch = 16;  ///< Max requests per shard batch (≥ 1).
-  uint32_t QueueCap = 1024; ///< Per-shard queue bound (Shed mode only).
-  bool Shed = false;        ///< Overload policy: shed (true) or queue.
-  uint64_t DeadlineUs = 0;  ///< Shed: per-request deadline from arrival.
-  uint32_t RetryBudget = 0; ///< Shed: txn attempts per batch (0 = ∞).
-  /// Test hook: microseconds each worker sleeps before a drain pass, so
-  /// tests can deterministically build up queues and observe batching.
-  uint32_t WorkerDelayUs = 0;
-  /// Sync-durability ack discipline: when set, a batch's responses are
-  /// withheld until the batch's last redo LSN is fsynced (bounded by
-  /// DeadlineUs when that is set — a wedged disk must not wedge the
-  /// workers). A degraded WAL turns committed mutation acks into
+  /// Ignored: requests run on the I/O thread that read them. Kept only
+  /// because satmbench/Wire.cpp still assigns it; it goes with the next
+  /// change to the benchmark.
+  unsigned Workers = 1;
+  uint32_t NetBatch = 16;   ///< Max requests per multiGet/multiPut (1..64).
+  uint64_t DeadlineUs = 0;  ///< Per-request deadline from decode (0 = ∞).
+  uint32_t RetryBudget = 0; ///< Txn attempts per request (0 = ∞).
+  /// Sync-durability ack discipline: when set, a read's responses are
+  /// withheld until its last redo LSN is fsynced (bounded by DeadlineUs
+  /// when that is set — a wedged disk must not wedge the I/O thread
+  /// forever). A degraded WAL turns committed mutation acks into
   /// Status::DurabilityLost instead of blocking.
   kv::Wal *SyncWal = nullptr;
   /// Durability visibility for the STATS opcode (degraded flag, dropped
@@ -93,7 +83,8 @@ struct ServerConfig {
   kv::Wal *StatsWal = nullptr;
 };
 
-/// Monotone counters, readable live (the STATS opcode) and post-join.
+/// Monotone counters and high-water marks, readable live (the STATS
+/// opcode) and post-join.
 struct ServerStats {
   uint64_t Accepted = 0;       ///< Connections admitted.
   uint64_t DroppedAccepts = 0; ///< net_accept fault drops.
@@ -103,9 +94,11 @@ struct ServerStats {
   uint64_t BadFrames = 0;      ///< Framing errors (connection closed).
   uint64_t Batches = 0;        ///< Amortizing txns issued (GET/PUT merges).
   uint64_t BatchedOps = 0;     ///< Single-key requests those txns covered.
-  uint64_t ShedQueueFull = 0;  ///< Admission sheds (queue at capacity).
-  uint64_t ShedDeadline = 0;   ///< Dequeue sheds (already past deadline).
-  uint64_t MaxQueueDepth = 0;  ///< Deepest per-shard queue high-water.
+  /// Data requests answered Overloaded or DeadlineExceeded: a spent
+  /// OpBudget, a sync-ack deadline, or a frame decoded after a stop.
+  uint64_t ShedDeadline = 0;
+  uint64_t MaxQueueDepth = 0; ///< Largest burst of requests from one read.
+  uint64_t OutHighWater = 0;  ///< Most unflushed response bytes on a conn.
   /// Requests per amortizing transaction; > 1 means batching is live.
   double batchAvg() const {
     return Batches ? double(BatchedOps) / double(Batches) : 0.0;
@@ -120,7 +113,7 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Binds, listens, spawns acceptor + I/O + worker threads. On failure
+  /// Binds, listens, spawns the acceptor and I/O threads. On failure
   /// fills \p Err and leaves the server stopped.
   bool start(std::string *Err);
 
@@ -137,8 +130,8 @@ public:
     return Stopping.load(std::memory_order_acquire);
   }
 
-  /// Graceful teardown: listener closed, queues drained, workers joined,
-  /// connections flushed and closed, I/O threads joined. Idempotent.
+  /// Graceful teardown: listener closed, connections flushed and closed,
+  /// I/O threads joined. Idempotent.
   void stop();
 
   ServerStats stats() const;
@@ -147,32 +140,28 @@ private:
   struct Conn;
   using ConnPtr = std::shared_ptr<Conn>;
   struct IoState;
-  struct WorkerState;
-  struct Request;
 
   using Clock = std::chrono::steady_clock;
 
   void acceptorLoop();
   void ioLoop(unsigned Idx);
-  void workerLoop(unsigned Idx);
 
   void registerIncoming(IoState &Io);
-  void readDrain(IoState &Io, const ConnPtr &C);
+  void markReady(IoState &Io, const ConnPtr &C);
+  void readOnce(IoState &Io, const ConnPtr &C);
   void flushConn(IoState &Io, const ConnPtr &C);
   void closeConn(IoState &Io, const ConnPtr &C);
-  void handleFrame(IoState &Io, const ConnPtr &C, const Frame &F);
 
-  /// Appends an encoded response to \p C's outbound buffer (no-op on a
-  /// dead connection) and returns the I/O thread to nudge, or -1.
-  int queueResponse(const ConnPtr &C, MsgOp Op, Status St, uint64_t Cid,
-                    const kv::Word *Vals, uint16_t Count);
-  void wakeIo(unsigned Idx);
-
-  void executeBatch(std::vector<Request> &Batch, WorkerState &W);
+  /// Encodes \p F (a request turned into its response) onto \p C's
+  /// outbound buffer.
+  void respond(Conn &C, const Frame &F);
+  /// Answers a STATS or SHUTDOWN frame as soon as it is decoded.
+  void answerControl(Conn &C, Frame &F);
+  /// Executes the current read's data requests and queues their responses.
+  void runBatch(IoState &Io, Conn &C);
 
   kv::Store &S;
   ServerConfig Cfg;
-  BufferPool ReadBuffers;
 
   int ListenFd = -1;
   /// Atomic: the Shutdown-frame path calls requestStop() from I/O threads
@@ -186,7 +175,6 @@ private:
 
   std::thread Acceptor;
   std::vector<std::unique_ptr<IoState>> Io;
-  std::vector<std::unique_ptr<WorkerState>> Workers;
 
   /// Monotone counter cells (relaxed; snapshotted by stats()).
   struct Cells;

@@ -102,12 +102,6 @@ TEST(ServiceFlags, ServeCoherentCombinationsPass) {
   F.NetBatchSet = true;
   expectOk(F, "serve with event-loop tuning");
 
-  // Socket-level shed needs no in-process arrival clock.
-  F = base();
-  F.Serve = true;
-  F.Overload = true;
-  expectOk(F, "serve + overload policy");
-
   F = base();
   F.Serve = true;
   F.Durability = kv::DurabilityMode::Sync;
@@ -119,6 +113,13 @@ TEST(ServiceFlags, ServeRejectsInProcessArrivalClock) {
   F.Serve = true;
   F.Qps = 50000;
   expectRejected(F, "--qps", "serve + qps");
+
+  // The server has no overload policy: its per-request budget comes from
+  // --deadline-us/--retry-budget alone.
+  F = base();
+  F.Serve = true;
+  F.Overload = true;
+  expectRejected(F, "--overload", "serve + overload policy");
 }
 
 TEST(ServiceFlags, ServeRejectsClosedLoopThreadPool) {

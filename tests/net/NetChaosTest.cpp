@@ -161,8 +161,7 @@ int chaosChild(const char *Dir) {
   CP.start();
 
   net::ServerConfig NC;
-  NC.IoThreads = 1;
-  NC.Workers = 2;
+  NC.IoThreads = 2; // Two threads committing concurrently over the wire.
   NC.SyncWal = &W; // Acks wait out the fsync (or turn DurabilityLost).
   NC.StatsWal = &W;
   net::Server Sv(S, NC);

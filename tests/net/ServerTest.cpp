@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 //
 // In-process net::Server against a real kv::Store, exercised over
-// loopback with net::Client: per-opcode correctness, pipelined batching
-// (the WorkerDelayUs hook builds queues deterministically so batchAvg
-// must exceed 1), both shed paths (admission queue-full and dequeue
-// deadline), framing-damage connection close, the net_accept / net_read /
-// net_write fault sites, and the start/connect/kill/join loop that
-// certifies stop() is clean with traffic in flight.
+// loopback with net::Client and raw sockets: per-opcode correctness,
+// per-read batching (a pipelined burst in one send() is one read, so
+// batchAvg must exceed 1), the retry budget shedding an abort storm,
+// TCP push-back on a client that never reads, read fairness against a
+// firehose connection, peers resetting mid-flush, framing-damage
+// connection close, the net_accept / net_read / net_write fault sites,
+// and the start/connect/kill/join loop that certifies stop() is clean
+// with traffic in flight.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +25,19 @@
 
 #include "gtest/gtest.h"
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,6 +47,75 @@ using namespace satm;
 using namespace satm::net;
 
 namespace {
+
+using SteadyClock = std::chrono::steady_clock;
+
+Frame getFrame(uint64_t Key) {
+  Frame F;
+  F.Op = MsgOp::Get;
+  F.Count = F.Words = 1;
+  F.Body[0] = Key;
+  return F;
+}
+
+/// An MGET of keys 0..63: a full-size request with a full-size response.
+Frame wideMgetFrame() {
+  Frame F;
+  F.Op = MsgOp::MultiGet;
+  F.Count = F.Words = MaxKeysPerFrame;
+  for (size_t I = 0; I < MaxKeysPerFrame; ++I)
+    F.Body[I] = I;
+  return F;
+}
+
+/// \p Count copies of \p F back to back (cids 1..Count): a pipelined
+/// burst one send() can carry.
+std::vector<uint8_t> encodeBurst(Frame F, int Count) {
+  std::vector<uint8_t> Buf(size_t(Count) * MaxFrameBytes);
+  size_t Len = 0;
+  for (int I = 0; I < Count; ++I) {
+    F.Cid = uint64_t(I) + 1;
+    Len += encodeFrame(Buf.data() + Len, F);
+  }
+  Buf.resize(Len);
+  return Buf;
+}
+
+/// Blocking send of all of \p Buf; false once the connection fails.
+bool sendAll(int Fd, const std::vector<uint8_t> &Buf) {
+  size_t Off = 0;
+  while (Off < Buf.size()) {
+    ssize_t W = ::send(Fd, Buf.data() + Off, Buf.size() - Off, MSG_NOSIGNAL);
+    if (W > 0)
+      Off += size_t(W);
+    else if (!(W < 0 && errno == EINTR))
+      return false;
+  }
+  return true;
+}
+
+/// A plain blocking loopback socket, for peers that must misbehave in
+/// ways net::Client never does. Returns -1 on failure.
+int dialLoopback(uint16_t Port) {
+  int Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_port = htons(Port);
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (Fd >= 0 &&
+      ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
+    ::close(Fd);
+    Fd = -1;
+  }
+  return Fd;
+}
+
+/// Bounds every blocking receive on \p Fd, so a server that never
+/// answers fails the test instead of hanging it.
+void setRecvTimeout(int Fd, int Seconds) {
+  timeval Tv{Seconds, 0};
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+}
 
 /// Server tests run in the service's production shape: +DEA strong mode,
 /// like kv_service --serve. The snapshot version table keys raw Object*
@@ -70,8 +150,7 @@ protected:
 
   ServerConfig serverShape() {
     ServerConfig C;
-    C.IoThreads = 2;
-    C.Workers = 2;
+    C.IoThreads = 2; // Two threads committing concurrently over the wire.
     C.NetBatch = 16;
     return C;
   }
@@ -153,30 +232,18 @@ TEST_F(ServerTest, EveryOpcodeEndToEnd) {
 TEST_F(ServerTest, PipelinedBurstBatchesSameShardOps) {
   kv::Store S(H, storeShape());
   ASSERT_TRUE(S.insert(42, 1));
-
-  ServerConfig C = serverShape();
-  // Hold each worker drain pass back 3 ms so the pipelined burst piles up
-  // in the shard queue and one multiGet transaction covers many requests.
-  C.WorkerDelayUs = 3000;
-  Server Sv(S, C);
+  Server Sv(S, serverShape());
   std::string Err;
   ASSERT_TRUE(Sv.start(&Err)) << Err;
 
   Client Cl;
   ASSERT_TRUE(Cl.connectTo("127.0.0.1", Sv.port(), &Err)) << Err;
 
-  // 64 pipelined single-key GETs of one key: all the same shard, so the
-  // batcher can merge them NetBatch at a time.
+  // 64 pipelined single-key GETs of one key in one send(): one read
+  // carries the whole burst, and the I/O thread folds it NetBatch at a
+  // time into multiGet transactions.
   const int N = 64;
-  Frame Req;
-  Req.Op = MsgOp::Get;
-  Req.Count = 1;
-  Req.Words = 1;
-  Req.Body[0] = 42;
-  for (int I = 0; I < N; ++I) {
-    Req.Cid = uint64_t(I) + 1;
-    ASSERT_EQ(Cl.send(Req), uint64_t(I) + 1);
-  }
+  ASSERT_TRUE(sendAll(Cl.fd(), encodeBurst(getFrame(42), N)));
   int Got = 0;
   Frame Resp;
   while (Got < N && Cl.recv(Resp)) {
@@ -193,81 +260,184 @@ TEST_F(ServerTest, PipelinedBurstBatchesSameShardOps) {
   EXPECT_EQ(St.Requests, uint64_t(N));
   EXPECT_EQ(St.Responses, uint64_t(N));
   // The acceptance bar for the whole front end: > 1 request per
-  // amortizing transaction once queues form.
+  // amortizing transaction once requests arrive together.
   EXPECT_GT(St.batchAvg(), 1.5) << "Batches=" << St.Batches
                                 << " BatchedOps=" << St.BatchedOps;
   EXPECT_GT(St.MaxQueueDepth, 1u);
 }
 
-TEST_F(ServerTest, ShedModeAnswersOverloadedWhenQueuesFill) {
+TEST_F(ServerTest, RetryBudgetShedsAnAbortStorm) {
   kv::Store S(H, storeShape());
   ASSERT_TRUE(S.insert(42, 1));
-
   ServerConfig C = serverShape();
-  C.Shed = true;
-  C.QueueCap = 2;
-  C.WorkerDelayUs = 20000; // Queues saturate long before the first drain.
+  C.RetryBudget = 2;
   Server Sv(S, C);
   std::string Err;
   ASSERT_TRUE(Sv.start(&Err)) << Err;
 
   Client Cl;
   ASSERT_TRUE(Cl.connectTo("127.0.0.1", Sv.port(), &Err)) << Err;
+  setRecvTimeout(Cl.fd(), 3);
 
-  const int N = 40;
-  Frame Req;
-  Req.Op = MsgOp::Get;
-  Req.Count = 1;
-  Req.Words = 1;
-  Req.Body[0] = 42;
-  for (int I = 0; I < N; ++I) {
-    Req.Cid = uint64_t(I) + 1;
-    ASSERT_EQ(Cl.send(Req), uint64_t(I) + 1);
-  }
-  int Ok = 0, Shed = 0, Got = 0;
-  Frame Resp;
-  while (Got < N && Cl.recv(Resp)) {
-    ++Got;
-    if (Resp.status() == Status::Ok)
-      ++Ok;
-    else if (Resp.status() == Status::Overloaded)
-      ++Shed;
-    else
-      ADD_FAILURE() << "unexpected status " << statusName(Resp.status());
-  }
-  // Every request is answered — admission shed is a response, not a drop —
-  // and with QueueCap=2 the burst must overflow.
-  EXPECT_EQ(Got, N);
-  EXPECT_GT(Ok, 0);
-  EXPECT_GT(Shed, 0);
+  // Every commit attempt aborts. Each request gets two attempts and then
+  // answers Overloaded instead of retrying forever. (txn_commit, not
+  // txn_open: an open-time abort comes before the attempt is counted.)
+  FaultConfig FC;
+  FC.Seed = 3;
+  FC.Prob[unsigned(FaultSite::TxnCommit)] = UINT32_MAX;
+  FaultInjector::arm(FC);
+  uint64_t V = 0;
+  uint64_t Key = 42;
+  EXPECT_EQ(Cl.get(42, V), Status::Overloaded);
+  EXPECT_EQ(Cl.put(42, 2), Status::Overloaded);
+  EXPECT_EQ(Cl.rmwAdd(&Key, 1, 5), Status::Overloaded);
+  FaultInjector::disarm(); // Before stop(): a looping request must end.
+
+  // A shed request has no effects.
+  EXPECT_EQ(Cl.get(42, V), Status::Ok);
+  EXPECT_EQ(V, 1u);
 
   Cl.close();
   Sv.stop();
-  ServerStats St = Sv.stats();
-  EXPECT_EQ(St.ShedQueueFull, uint64_t(Shed));
-  EXPECT_LE(St.MaxQueueDepth, 2u);
+  EXPECT_EQ(Sv.stats().ShedDeadline, 3u);
 }
 
-TEST_F(ServerTest, ShedModeTimesOutOverstayedRequests) {
+TEST_F(ServerTest, ClientThatNeverReadsMeetsTcpPushBack) {
   kv::Store S(H, storeShape());
-  ASSERT_TRUE(S.insert(42, 1));
+  Server Sv(S, serverShape());
+  std::string Err;
+  ASSERT_TRUE(Sv.start(&Err)) << Err;
 
+  int Fd = dialLoopback(Sv.port());
+  ASSERT_GE(Fd, 0) << std::strerror(errno);
+  ASSERT_EQ(::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL) | O_NONBLOCK), 0);
+
+  // Pipeline 64-key MGETs and never read a response. A partial send
+  // resumes mid-frame on the next call, so every frame stays whole. The
+  // server has pushed back once the socket stays unwritable while it
+  // decodes nothing more.
+  const std::vector<uint8_t> Burst = encodeBurst(wideMgetFrame(), 64);
+  size_t Off = 0;
+  uint64_t Sent = 0;
+  bool PushedBack = false;
+  const auto Deadline = SteadyClock::now() + std::chrono::seconds(3);
+  while (!PushedBack && SteadyClock::now() < Deadline) {
+    ssize_t W =
+        ::send(Fd, Burst.data() + Off, Burst.size() - Off, MSG_NOSIGNAL);
+    if (W > 0) {
+      Sent += uint64_t(W);
+      Off = (Off + size_t(W)) % Burst.size();
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+        << std::strerror(errno);
+    uint64_t Decoded = Sv.stats().Requests;
+    pollfd P{Fd, POLLOUT, 0};
+    PushedBack = ::poll(&P, 1, 500) == 0 && Sv.stats().Requests == Decoded;
+  }
+  EXPECT_TRUE(PushedBack) << "the server took " << Sent
+                          << " bytes in 3 s without pushing back";
+
+  // The bound shows over STATS, and the paused connection does not wedge
+  // its I/O thread: a fresh client is served.
+  Client Cl;
+  ASSERT_TRUE(Cl.connectTo("127.0.0.1", Sv.port(), &Err)) << Err;
+  EXPECT_EQ(Cl.insert(7, 70), Status::Ok);
+  uint64_t Stats[StatsWordCount] = {};
+  ASSERT_TRUE(Cl.statsProbe(Stats));
+  EXPECT_GT(Stats[StatOutHighWater], 0u);
+  EXPECT_LE(Stats[StatOutHighWater], 512u * 1024);
+  EXPECT_EQ(Stats[StatShedQueueFull], 0u);
+
+  ::close(Fd);
+  Cl.close();
+  Sv.stop();
+  EXPECT_LE(Sv.stats().OutHighWater, 512u * 1024);
+}
+
+TEST_F(ServerTest, FirehoseConnectionCannotStarveItsSibling) {
+  kv::Store S(H, storeShape());
+  ASSERT_TRUE(S.insert(1, 11));
   ServerConfig C = serverShape();
-  C.Shed = true;
-  C.DeadlineUs = 1000;     // 1 ms budget from arrival...
-  C.WorkerDelayUs = 10000; // ...but the first drain pass is 10 ms away.
+  C.IoThreads = 1; // Both connections share one event loop.
   Server Sv(S, C);
   std::string Err;
   ASSERT_TRUE(Sv.start(&Err)) << Err;
 
+  // The firehose pipelines GETs nonstop and drains its responses, so the
+  // server never reaches EAGAIN on it and never pauses it for backlog.
+  Client Hose;
+  ASSERT_TRUE(Hose.connectTo("127.0.0.1", Sv.port(), &Err)) << Err;
+  const std::vector<uint8_t> Burst = encodeBurst(getFrame(1), 512);
+  std::atomic<bool> Done{false};
+  std::thread Sender([&] {
+    while (!Done.load(std::memory_order_relaxed) &&
+           sendAll(Hose.fd(), Burst))
+      ;
+  });
+  std::thread Drainer([&] {
+    uint8_t Buf[64 * 1024];
+    while (::recv(Hose.fd(), Buf, sizeof(Buf), 0) > 0)
+      ;
+  });
+
+  // Meanwhile a sibling on the same I/O thread must keep getting turns.
+  Client Sib;
+  ASSERT_TRUE(Sib.connectTo("127.0.0.1", Sv.port(), &Err)) << Err;
+  setRecvTimeout(Sib.fd(), 5);
+  const auto T0 = SteadyClock::now();
+  int Served = 0;
+  for (uint64_t V = 0; Served < 200; ++Served)
+    if (Sib.get(1, V) != Status::Ok || V != 11)
+      break;
+  const double Secs =
+      std::chrono::duration<double>(SteadyClock::now() - T0).count();
+
+  Done.store(true, std::memory_order_relaxed);
+  Hose.shutdownConn(); // Wakes both firehose threads.
+  Sender.join();
+  Drainer.join();
+  EXPECT_EQ(Served, 200) << "sibling starved after " << Served
+                         << " round trips";
+  EXPECT_LT(Secs, 10.0) << "200 sibling round trips took " << Secs << " s";
+
+  Hose.close();
+  Sib.close();
+  Sv.stop();
+}
+
+TEST_F(ServerTest, PeersResettingMidFlushDoNotHurtTheServer) {
+  kv::Store S(H, storeShape());
+  ASSERT_TRUE(S.insert(5, 55));
+  Server Sv(S, serverShape());
+  std::string Err;
+  ASSERT_TRUE(Sv.start(&Err)) << Err;
+
+  // Each peer pipelines 200 64-key MGETs (about 106 KB of responses) and
+  // then closes abortively: SO_LINGER {1, 0} turns close() into a RST,
+  // so the server's reads and flushes hit a reset socket. A send there
+  // must fail with an error, never raise SIGPIPE.
+  const std::vector<uint8_t> Burst = encodeBurst(wideMgetFrame(), 200);
+  for (int Peer = 0; Peer < 50; ++Peer) {
+    int Fd = dialLoopback(Sv.port());
+    ASSERT_GE(Fd, 0) << "peer " << Peer << ": " << std::strerror(errno);
+    EXPECT_TRUE(sendAll(Fd, Burst)) << "peer " << Peer;
+    linger L{1, 0};
+    ::setsockopt(Fd, SOL_SOCKET, SO_LINGER, &L, sizeof(L));
+    ::close(Fd);
+  }
+
+  // The server is still up and serving correctly.
   Client Cl;
   ASSERT_TRUE(Cl.connectTo("127.0.0.1", Sv.port(), &Err)) << Err;
   uint64_t V = 0;
-  EXPECT_EQ(Cl.get(42, V), Status::DeadlineExceeded);
+  EXPECT_EQ(Cl.get(5, V), Status::Ok);
+  EXPECT_EQ(V, 55u);
+  EXPECT_EQ(Cl.insert(6, 66), Status::Ok);
 
   Cl.close();
   Sv.stop();
-  EXPECT_GE(Sv.stats().ShedDeadline, 1u);
+  EXPECT_EQ(Sv.stats().BadFrames, 0u);
 }
 
 TEST_F(ServerTest, FramingDamageClosesTheConnection) {

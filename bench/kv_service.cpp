@@ -503,8 +503,8 @@ RunResult runService(const RunConfig &C) {
                 Rec.Millis, Rec.CheckpointEntries, Rec.CheckpointLsn);
     std::filesystem::remove_all(WC.Dir);
   }
-  // The version table keys raw Object* into this run's heap: clear it
-  // before H dies so the next configuration cannot alias stale keys.
+  // Free this run's version chains before H dies: nothing else reclaims
+  // the chains of dead objects.
   snap::resetTable();
   return Total;
 }

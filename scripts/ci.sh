@@ -121,6 +121,14 @@ ENOSPC_SERVER_PID=$!
 wait "$ENOSPC_SERVER_PID"
 scripts/check_bench_schema.sh --require-net build/BENCH_net_enospc.json
 
+echo "== satmbench lane (benchmark self-tests + a short kv_durable_mix run)"
+# The benchmark builds its own copy of src/ into .bench_build/. The short
+# run's output checks (every read returns its own key's value; the image
+# recovered from the log equals the live store) are an end-to-end oracle
+# for the snapshot plane and the checkpointer; a failed check exits 1.
+python3 satmbench/tests/run_tests.py
+python3 satmbench/run.py --workload kv_durable_mix --seconds 2 --trace 0
+
 echo "== ThreadSanitizer build"
 cmake -B build-tsan -S . -DSATM_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS"

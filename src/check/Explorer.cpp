@@ -297,8 +297,8 @@ private:
   //===------------------------------------------------------------------===
 
   void setupRun() {
-    // The version table is keyed by raw Object*; the previous run's heap is
-    // about to be destroyed and its addresses reused.
+    // Free the previous run's version chains: its heap is about to be
+    // destroyed, and nothing else reclaims the chains of dead objects.
     snap::resetTable();
     HeapPtr = std::make_unique<rt::Heap>(1u << 16);
     Objects.clear();

@@ -224,10 +224,10 @@ bool Store::putFast(Word Key, Word Val) {
     // in place, so a raw store into one would stay invisible to them
     // forever: let the transactional insert publish a version instead.
     // Checked under the hold, which keeps any transaction from chaining V
-    // between the check and the store. Chain-less objects keep the raw
-    // store; snapshot reads see them in place (the nt caveat,
-    // stm/Snapshot.h).
-    if (stm::config().SnapshotEnabled && stm::snap::tableEntries() != 0 &&
+    // between the check and the store. Chain-less objects (no version
+    // index, or a stale one) keep the raw store; snapshot reads see them
+    // in place (the nt caveat, stm/Snapshot.h).
+    if (stm::config().SnapshotEnabled && V->versionIndex() != 0 &&
         stm::snap::hasChain(V))
       return false;
     W.store(0, Val);

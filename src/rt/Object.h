@@ -7,11 +7,13 @@
 /// \file
 /// The managed object representation. "Each object has a transaction field
 /// holding its transaction record" (§3.1); here the record is the first
-/// header word, followed by the type descriptor, the slot count, and the
-/// word-sized data slots. All slots are std::atomic<Word> accessed with
-/// explicit memory orders, so the data races the paper studies (between
-/// transactional and non-transactional code) are well-defined at the C++
-/// level while still compiling to plain loads/stores on x86.
+/// header word, followed by the type descriptor, the slot count, the
+/// snapshot plane's version index (in the slot count's padding, so the
+/// header stays three words), and the word-sized data slots. All slots are
+/// std::atomic<Word> accessed with explicit memory orders, so the data
+/// races the paper studies (between transactional and non-transactional
+/// code) are well-defined at the C++ level while still compiling to plain
+/// loads/stores on x86.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +47,17 @@ public:
 
   /// Number of data slots in this instance (fields, or array length).
   uint32_t slotCount() const { return NumSlots; }
+
+  /// The snapshot plane's directory index of this object's version chain
+  /// (stm/Snapshot.h), or 0 if it never had one. Set by the chain's
+  /// creator, which holds the record, before its first dirty in-place
+  /// write; an index left over from before snap::resetTable may be stale.
+  uint32_t versionIndex() const {
+    return VersionIdx.load(std::memory_order_acquire);
+  }
+  void setVersionIndex(uint32_t I) {
+    VersionIdx.store(I, std::memory_order_release);
+  }
 
   /// The \p I'th data slot.
   std::atomic<Word> &slot(uint32_t I) {
@@ -102,7 +115,7 @@ private:
   friend class Heap;
 
   Object(const TypeDescriptor *Type, uint32_t NumSlots, Word InitialRecord)
-      : TxRec(InitialRecord), Type(Type), NumSlots(NumSlots) {
+      : TxRec(InitialRecord), Type(Type), NumSlots(NumSlots), VersionIdx(0) {
     for (uint32_t I = 0; I < NumSlots; ++I)
       new (&slots()[I]) std::atomic<Word>(0);
   }
@@ -117,9 +130,12 @@ private:
   std::atomic<Word> TxRec;
   const TypeDescriptor *Type;
   uint32_t NumSlots;
+  std::atomic<uint32_t> VersionIdx;
 };
 
 static_assert(alignof(Object) >= 8, "records require 8-aligned objects");
+static_assert(sizeof(Object) == 24,
+              "the version index must fit the slot count's padding");
 
 } // namespace rt
 } // namespace satm

@@ -229,7 +229,7 @@ bool LazyTxn::tryCommit() {
   // Snapshot-plane publication, part 1: allocate the version nodes while
   // the transaction can still abort (an injected allocation failure past
   // the commit point could not roll back).
-  std::vector<std::pair<Object *, snap::VersionNode *>> PubNodes;
+  snap::PendingVersions PubNodes;
   if (config().SnapshotEnabled && !Held.empty()) {
     PubNodes.reserve(Held.size());
     bool AllocFailed = false;
@@ -293,16 +293,8 @@ bool LazyTxn::tryCommit() {
   // Everything from beginPublish to completePublish is plain stores and
   // frees: the ticket holds the stable frontier back until its done mark.
   uint64_t PubTicket = 0;
-  if (!PubNodes.empty()) {
-    for (auto &P : PubNodes)
-      snap::fillNode(P.first, P.second);
-    PubTicket = Quiescence::beginPublish();
-    for (auto &P : PubNodes)
-      snap::publishNode(P.first, P.second, PubTicket);
-    statsForThisThread().SnapshotPublishes++;
-    traceEvent(TraceKind::SnapshotPublish,
-               uint8_t(PubNodes.size() < 255 ? PubNodes.size() : 255));
-  }
+  if (!PubNodes.empty())
+    PubTicket = snap::publishCommit(PubNodes);
 
   // Phase 4: release the records (version bump) and finish.
   ReleaseAll();

@@ -155,6 +155,10 @@ unsigned Quiescence::slotIndexForThisThread() {
   return TlsSlot.Index;
 }
 
+Quiescence::Slot &Quiescence::slotAt(unsigned Index) {
+  return Registry::get().Slots[Index];
+}
+
 unsigned Quiescence::liveSlots() {
   Registry &R = Registry::get();
   std::lock_guard<std::mutex> Lock(R.FreeMutex);

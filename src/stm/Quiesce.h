@@ -68,6 +68,12 @@ public:
     /// snapshot transactions with writes); 0 when none. Publishers prune
     /// version chains no further than the minimum pinned epoch.
     std::atomic<uint64_t> PinnedEpoch{0};
+    /// Version nodes this slot's owners linked minus those they pruned
+    /// (snap::liveNodes sums it). Negative when a thread prunes nodes
+    /// others linked. Written only by the owner, so commits update it with
+    /// a plain load and store; kept across slot recycling, since the nodes
+    /// outlive the thread.
+    std::atomic<int64_t> NodeCount{0};
   };
 
   /// Returns (registering on first use) the calling thread's slot. Slots
@@ -81,6 +87,9 @@ public:
   /// registry mutex, so per-slot state handed along with it (the WAL's
   /// per-committer logs) needs no further synchronization.
   static unsigned slotIndexForThisThread();
+
+  /// Slot \p Index, below peakSlots(): for summing per-slot counters.
+  static Slot &slotAt(unsigned Index);
 
   /// Number of currently registered threads (introspection for tests).
   static unsigned liveSlots();

@@ -16,31 +16,36 @@
 ///
 /// Reclamation: at publication time the writer prunes every node strictly
 /// older than the newest node at or below the oldest pinned epoch
-/// (Quiescence::minPinnedEpoch). This is the *maximal* reclamation that
-/// permits immediate frees: a reader pinned at P walks only nodes with
-/// Epoch > P and stops at its first node with Epoch <= P without loading
-/// that node's Next pointer, so everything below the min-pin stop node is
-/// unreachable — but any node above it may have a reader mid-walk and
-/// must be retained. Consequently a chain with no pinned readers collapses
-/// to two nodes (newest + stop) at the next publish, while a held pin
-/// retains the versions committed during its lifetime — the familiar MVCC
-/// trade: long snapshots hold history. minPinnedEpoch reads the stable
-/// epoch before scanning the pins, so a concurrently arriving pin can
-/// never be below the returned minimum.
+/// (Quiescence::minPinnedEpoch, scanned once per commit). This is the
+/// *maximal* reclamation that permits immediate frees: a reader pinned at
+/// P walks only nodes with Epoch > P and stops at its first node with
+/// Epoch <= P without loading that node's Next pointer, so everything
+/// below the min-pin stop node is unreachable — but any node above it may
+/// have a reader mid-walk and must be retained. Consequently a chain with
+/// no pinned readers collapses to two nodes (newest + stop) at the next
+/// publish, while a held pin retains the versions committed during its
+/// lifetime — the familiar MVCC trade: long snapshots hold history.
+/// minPinnedEpoch reads the stable epoch before scanning the pins, so a
+/// concurrently arriving pin can never be below the returned minimum.
 ///
-/// The table is keyed by Object* in a fixed hash of CAS-prepended bucket
-/// lists; entries are immortal until resetTable(), which frees everything
-/// and must only run while no thread is inside the STM (tests, explorer
-/// setupRun, end of a bench service run). Entries are only created by
-/// writers that hold the object's transaction record exclusively, so
-/// per-object publication is serialized by construction; cross-object
-/// ordering comes from the Quiescence publish ticket (beginPublish /
-/// completePublish). Commits link their nodes and complete out of order,
-/// but the reader-visible stable frontier only advances over a contiguous
-/// prefix of completed tickets, so a pinned reader observes a prefix of
-/// the commit order — never a suffix hole or a half-linked commit. A node
-/// whose epoch is above every pin may belong to a commit still linking
-/// its siblings; readers skip it like any newer version.
+/// The chain is found from the object itself, like its transaction record:
+/// the header's version index (rt::Object::versionIndex) names an entry
+/// {Head, Obj} in an append-only directory of fixed-size segments. Index 0
+/// means "never chained". Entries are immortal until resetTable(), which
+/// frees everything and must only run while no thread is inside the STM
+/// (tests, explorer setupRun, end of a bench service run); it leaves the
+/// indexes in surviving headers stale, and the entry's Obj back-pointer
+/// makes a stale index read as "no chain" whoever takes its entry next.
+/// Entries are only created by writers that hold the object's transaction
+/// record exclusively, so per-object publication is serialized by
+/// construction; cross-object ordering comes from the Quiescence publish
+/// ticket (beginPublish / completePublish). Commits link their nodes and
+/// complete out of order, but the reader-visible stable frontier only
+/// advances over a contiguous prefix of completed tickets, so a pinned
+/// reader observes a prefix of the commit order — never a suffix hole or
+/// a half-linked commit. A node whose epoch is above every pin may belong
+/// to a commit still linking its siblings; readers skip it like any newer
+/// version.
 ///
 /// Objects written only by non-transactional barriers never grow a chain;
 /// snapshot reads of chain-less objects fall back to an in-place atomic
@@ -56,6 +61,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace satm {
 namespace stm {
@@ -72,13 +79,17 @@ struct VersionNode {
   Word Values[1]; ///< Trailing array, NumSlots entries.
 };
 
+/// One commit's allocated, not yet linked versions, one per written object.
+using PendingVersions = std::vector<std::pair<rt::Object *, VersionNode *>>;
+
 /// Ensures \p O has a version chain, installing a base node (Epoch 0)
-/// that captures the current committed slot values if it does not.
-/// Caller must hold O's transaction record exclusively (or otherwise
-/// guarantee no concurrent committed writes), so the captured values are
-/// the last committed state. Returns false if the node allocation was
-/// fault-injected (FaultSite::HeapAlloc); the caller aborts cleanly —
-/// nothing has been written yet.
+/// that captures the current committed slot values if it does not, and
+/// storing its index in O's header. Caller must hold O's transaction
+/// record exclusively (or otherwise guarantee no concurrent committed
+/// writes), so the captured values are the last committed state, and must
+/// call it before its first in-place write to O. Returns false if the node
+/// allocation was fault-injected (FaultSite::HeapAlloc); the caller aborts
+/// cleanly — nothing has been written yet.
 bool ensureBaseNode(rt::Object *O);
 
 /// Epoch of the newest published version of \p O, or 0 if it has no chain.
@@ -99,60 +110,39 @@ VersionNode *allocateNode(rt::Object *O);
 /// Frees a node that was never linked (fault-injection unwind path).
 void freeNode(VersionNode *N);
 
-/// Copies \p O's current slot values into \p N. Called after write-back
-/// (lazy) or before lock release (eager/serial) while the record is still
-/// held, so the values are exactly the committed state.
-void fillNode(rt::Object *O, VersionNode *N);
-
-/// Stamps \p N with \p Epoch, links it as the newest version of \p O, and
-/// prunes the tail of the chain past the oldest pinned epoch. Caller holds
-/// O's record and must already have called ensureBaseNode (so the entry
-/// exists) and Quiescence::beginPublish (so Epoch is a reserved ticket).
-void publishNode(rt::Object *O, VersionNode *N, uint64_t Epoch);
+/// Publishes one commit's versions: copies each object's current slots
+/// into its node, reserves a publish ticket, links every node stamped
+/// with it as its object's newest version, and prunes each chain past the
+/// oldest pinned epoch (one pin scan for the whole commit). Returns the
+/// ticket, which the caller completes (Quiescence::completePublish) after
+/// releasing its records. Caller holds every object's record, has called
+/// ensureBaseNode on each, and has finished its in-place writes, so the
+/// copies are exactly the committed state.
+uint64_t publishCommit(const PendingVersions &Nodes);
 
 /// Wait-free snapshot read: the value of O.Slot as of epoch \p E, where
 /// \p E was obtained from Quiescence::pinSnapshot and is still pinned.
 /// Walks the chain to the newest node with Epoch <= E; for chain-less
-/// objects falls back to an in-place load with an entry re-check to close
+/// objects falls back to an in-place load with an index re-check to close
 /// the race against a first writer installing the base node.
 Word readAtEpoch(rt::Object *O, uint32_t Slot, uint64_t E);
 
 /// Frees every entry and every node. Call only while no thread is inside
-/// the STM and no snapshot is pinned; required between explorer runs and
-/// test cases because table entries are keyed by raw Object* into heaps
-/// that get destroyed and reused.
+/// the STM and no snapshot is pinned. Bounds the plane's memory between
+/// explorer runs, test cases and bench runs; headers keep their (now
+/// stale) indexes, which read as chain-less.
 void resetTable();
 
-namespace detail {
-/// A counter that owns its whole cache line. NodeCount is bumped on every
-/// version-node allocation and free while EntryCount is loaded by every
-/// snapshot read; sharing a line (with each other, or with whatever the
-/// linker places next to them) would put the writers' traffic on the
-/// readers' fast path.
-struct alignas(64) LineCounter {
-  std::atomic<size_t> Value{0};
-};
-static_assert(sizeof(LineCounter) == 64, "one counter per cache line");
-/// Objects with a version chain; bumped after an entry's bucket insert,
-/// monotonic until resetTable. Exposed so the read fast path can test
-/// "table empty" inline — see readAtEpoch's fast-path soundness comment.
-extern LineCounter EntryCount;
-/// Version nodes currently allocated (allocateNode minus every free path).
-extern LineCounter NodeCount;
-} // namespace detail
+/// Number of directory entries handed out since the last resetTable
+/// (test introspection).
+size_t tableEntries();
 
-/// Number of objects with a version chain (read fast path + tests).
-inline size_t tableEntries() {
-  return detail::EntryCount.Value.load(std::memory_order_acquire);
-}
-
-/// Version nodes currently live across all chains (allocated and not yet
-/// pruned/freed). The memory-flatness tests assert this stays bounded
-/// under sustained commit churn: publication-time pruning must reclaim as
-/// fast as commits allocate once no snapshot pin holds history.
-inline size_t liveNodes() {
-  return detail::NodeCount.Value.load(std::memory_order_acquire);
-}
+/// Version nodes currently linked into chains: the per-registry-slot
+/// counts (Quiescence::Slot::NodeCount) summed. The memory-flatness tests
+/// assert this stays bounded under sustained commit churn: publication-
+/// time pruning must reclaim as fast as commits allocate once no snapshot
+/// pin holds history. Exact only while no commit is in flight.
+size_t liveNodes();
 
 /// Length of \p O's chain, 0 if it has none (test introspection; only
 /// meaningful while no writer is concurrently publishing to \p O).

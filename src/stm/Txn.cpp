@@ -376,45 +376,26 @@ Word Txn::snapshotReadSlow(Object *O, uint32_t Slot) {
   // Plain preemption point, no record: the read is wait-free and must stay
   // schedulable under the explorer even when the record never changes.
   schedYield(YieldPoint::SnapshotRead, nullptr, W);
-  // Empty-table fast path, inlined here to spare the call on read-heavy
-  // chain-less workloads; soundness argument at snap::readAtEpoch.
-  if (snap::tableEntries() == 0) {
-    Word V = O->rawLoad(Slot, std::memory_order_acquire);
-    if (snap::tableEntries() == 0)
-      return V;
-  }
   return snap::readAtEpoch(O, Slot, SnapEpoch);
 }
 
 uint64_t Txn::publishVersions() {
   // Allocate every node first: an injected allocation failure here can
   // still unwind (locks and undo log intact, nothing linked yet).
-  std::vector<std::pair<Object *, snap::VersionNode *>> Nodes;
-  Nodes.reserve(WriteLocks.size());
+  PubNodes.clear();
   for (const WriteEntry &L : WriteLocks) {
     // The record is the object's first header word.
     Object *O = reinterpret_cast<Object *>(L.Rec);
     assert(&O->txRecord() == L.Rec && "record is not the object header");
     snap::VersionNode *N = snap::allocateNode(O);
     if (!N) {
-      for (auto &P : Nodes)
+      for (auto &P : PubNodes)
         snap::freeNode(P.second);
       conflictAbort(AbortReason::FaultInjected);
     }
-    Nodes.push_back({O, N});
+    PubNodes.push_back({O, N});
   }
-  for (auto &P : Nodes)
-    snap::fillNode(P.first, P.second);
-  // From here until Quiescence::completePublish (the caller's duty, after
-  // releasing the locks) this ticket holds the stable frontier back, so
-  // the window must not wait on anything a later ticket could hold.
-  uint64_t Ticket = Quiescence::beginPublish();
-  for (auto &P : Nodes)
-    snap::publishNode(P.first, P.second, Ticket);
-  statsForThisThread().SnapshotPublishes++;
-  traceEvent(TraceKind::SnapshotPublish,
-             uint8_t(Nodes.size() < 255 ? Nodes.size() : 255));
-  return Ticket;
+  return snap::publishCommit(PubNodes);
 }
 
 void Txn::runPublishWindow(uint64_t Ticket) {

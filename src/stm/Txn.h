@@ -395,21 +395,22 @@ private:
   bool tryCommitSnapshot();
   /// Wait-free versioned read at the pinned epoch (snapshot mode only).
   /// The production chain-less fast path is inlined: while no scheduler
-  /// hook is installed and the version table is empty, every object class
-  /// reads in place — private and self-Exclusive by definition, chain-less
-  /// shared per the empty-table argument at snap::readAtEpoch (any dirty
-  /// in-place transactional write, our own included, is preceded by
-  /// ensureBaseNode, so the re-check routes it to the record-probing slow
-  /// path, which also preserves read-your-writes). Under the explorer
+  /// hook is installed, an object whose header holds no version index
+  /// reads in place with no record probe. That covers private objects
+  /// (never chained) and chain-less shared ones, per the load/re-check
+  /// argument at snap::readAtEpoch: any dirty in-place transactional
+  /// write, our own included, is preceded by ensureBaseNode storing the
+  /// index, so the re-check routes it to the record-probing slow path,
+  /// which also preserves read-your-writes. Under the explorer
   /// (config().Yield set) the slow path runs unconditionally so explored
   /// event streams and their replay tokens are unchanged.
   Word snapshotRead(rt::Object *O, uint32_t Slot) {
     const Config &Cfg = config();
-    if (!Cfg.Yield && snap::tableEntries() == 0) {
+    if (!Cfg.Yield && O->versionIndex() == 0) {
       if (Cfg.CollectStats)
         ++PendingSnapReads;
       Word V = O->rawLoad(Slot, std::memory_order_acquire);
-      if (snap::tableEntries() == 0)
+      if (O->versionIndex() == 0)
         return V;
       if (Cfg.CollectStats)
         --PendingSnapReads; // The slow path re-counts.
@@ -504,6 +505,9 @@ private:
   std::vector<std::function<void()>> CommitActions;
   std::vector<std::function<void()>> AbortActions;
   std::vector<PublishEntry> PublishLog;
+  /// publishVersions' scratch list of nodes, kept so a commit reuses its
+  /// capacity instead of allocating one.
+  snap::PendingVersions PubNodes;
   size_t Depth = 0;
   /// Read/write op counts of the transaction in flight, folded into the
   /// thread's stats block once per transaction end (resetState). Plain

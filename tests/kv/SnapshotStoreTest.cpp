@@ -46,8 +46,8 @@ protected:
     statsReset();
   }
   ~SnapshotStoreTest() override {
-    // The version table keys raw Object* into this fixture's heap: clear
-    // it before the heap dies so the next test cannot alias stale keys.
+    // Free the version chains of this fixture's heap before it dies, so
+    // each test starts with an empty directory.
     snap::resetTable();
   }
   std::unique_ptr<ScopedConfig> SC;

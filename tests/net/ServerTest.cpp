@@ -118,8 +118,8 @@ void setRecvTimeout(int Fd, int Seconds) {
 }
 
 /// Server tests run in the service's production shape: +DEA strong mode,
-/// like kv_service --serve. The snapshot version table keys raw Object*
-/// into this fixture's heap, so it is cleared before the heap dies.
+/// like kv_service --serve. The version chains of this fixture's heap are
+/// freed before the heap dies.
 class ServerTest : public ::testing::Test {
 protected:
   ServerTest() {

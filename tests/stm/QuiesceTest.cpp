@@ -212,8 +212,8 @@ TEST(Quiesce, DoneRingWrapWaitsForTheOldTicket) {
             std::string::npos);
 }
 
-/// Version entries are keyed by Object*, so a test that publishes versions
-/// starts and ends with an empty table (heaps reuse addresses).
+/// A test that publishes versions starts and ends with an empty version
+/// directory, so the chains it counts are its own.
 struct FreshVersionTable {
   FreshVersionTable() { snap::resetTable(); }
   ~FreshVersionTable() { snap::resetTable(); }

@@ -23,10 +23,13 @@
 #include "stm/Stats.h"
 #include "stm/Txn.h"
 #include "support/FaultInjector.h"
+#include "support/Rng.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -39,6 +42,11 @@ namespace {
 const TypeDescriptor CellType("Cell", 1, {});
 const TypeDescriptor PairType("Pair", 2, {});
 
+bool fastTests() {
+  const char *Env = std::getenv("SATM_FAST_TESTS");
+  return Env && Env[0] == '1';
+}
+
 class SnapshotTxnTest : public ::testing::Test {
 protected:
   SnapshotTxnTest() {
@@ -48,8 +56,8 @@ protected:
     statsReset();
   }
   ~SnapshotTxnTest() override {
-    // The table keys raw Object* into this fixture's heap: clear it before
-    // the heap dies or the next test's allocations could alias stale keys.
+    // Free the version chains of this fixture's heap before it dies, so
+    // each test starts with an empty directory.
     snap::resetTable();
   }
   std::unique_ptr<ScopedConfig> SC;
@@ -395,6 +403,125 @@ TEST_F(SnapshotTxnTest, SerialIrrevocableCommitsPublish) {
   Word Seen = 0;
   Txn::runSnapshot([&] { Seen = Txn::forThisThread().read(X, 0); });
   EXPECT_EQ(Seen, 77u);
+}
+
+TEST_F(SnapshotTxnTest, StaleIndexAfterResetReadsAsChainless) {
+  // resetTable frees the directory but cannot reach the headers, so X
+  // keeps its old version index, and Y, the first object chained after
+  // the reset, takes that same entry. The entry's back-pointer must tell
+  // them apart: X reads as chain-less (its in-place value) until its next
+  // commit installs an entry of its own.
+  snap::resetTable();
+  Object *X = H.allocate(&CellType, BirthState::Shared);
+  Object *Y = H.allocate(&CellType, BirthState::Shared);
+  atomically([&] { Txn::forThisThread().write(X, 0, 11); });
+  snap::resetTable();
+  atomically([&] { Txn::forThisThread().write(Y, 0, 22); });
+  ASSERT_NE(X->versionIndex(), 0u);
+  ASSERT_EQ(X->versionIndex(), Y->versionIndex())
+      << "Y must take the entry X's stale index names";
+  Word SeenX = 0, SeenY = 0;
+  auto ReadBoth = [&] {
+    Txn::runSnapshot([&] {
+      Txn &T = Txn::forThisThread();
+      SeenX = T.read(X, 0);
+      SeenY = T.read(Y, 0);
+    });
+  };
+  ReadBoth();
+  EXPECT_EQ(SeenX, 11u);
+  EXPECT_EQ(SeenY, 22u);
+  EXPECT_FALSE(snap::hasChain(X));
+  EXPECT_EQ(snap::chainLength(X), 0u);
+  EXPECT_EQ(snap::newestEpoch(X), 0u);
+
+  atomically([&] { Txn::forThisThread().write(X, 0, 33); });
+  EXPECT_NE(X->versionIndex(), Y->versionIndex());
+  EXPECT_GE(snap::chainLength(X), 1u);
+  EXPECT_GT(snap::newestEpoch(X), 0u);
+  ReadBoth();
+  EXPECT_EQ(SeenX, 33u);
+  EXPECT_EQ(SeenY, 22u);
+}
+
+TEST_F(SnapshotTxnTest, ConcurrentFirstChainsKeepTheirOwnEntries) {
+  // Writers take objects from a shared cursor and chain each for the
+  // first time, so neighbouring directory entries (and the first entries
+  // of each new segment) are claimed by racing writers, across several
+  // segments. Snapshot readers meanwhile read just behind the cursor,
+  // where chains are being created, and check that every value carries
+  // its own object's tag and that both slots of one version agree.
+  const unsigned NumObjects = fastTests() ? 10000 : 40000;
+  constexpr unsigned Writers = 2;
+  constexpr unsigned Readers = 2;
+  auto Tag = [](unsigned I, Word V) { return (Word(I) << 32) | V; };
+  std::vector<Object *> Objs(NumObjects);
+  for (unsigned I = 0; I < NumObjects; ++I) {
+    Objs[I] = H.allocate(&PairType, BirthState::Shared);
+    Objs[I]->rawStore(0, Tag(I, 0));
+    Objs[I]->rawStore(1, Tag(I, 0));
+  }
+  std::atomic<unsigned> Cursor{0};
+  std::atomic<unsigned> ReadersUp{0};
+  std::atomic<unsigned> WritersDone{0};
+  std::atomic<uint64_t> Bad{0};
+  std::vector<std::thread> Ts;
+  for (unsigned W = 0; W < Writers; ++W)
+    Ts.emplace_back([&] {
+      while (ReadersUp.load(std::memory_order_acquire) < Readers)
+        std::this_thread::yield();
+      for (unsigned I; (I = Cursor.fetch_add(1)) < NumObjects;)
+        atomically([&] {
+          Txn &T = Txn::forThisThread();
+          T.write(Objs[I], 0, Tag(I, 1));
+          T.write(Objs[I], 1, Tag(I, 1));
+        });
+      WritersDone.fetch_add(1, std::memory_order_release);
+    });
+  for (unsigned R = 0; R < Readers; ++R)
+    Ts.emplace_back([&, R] {
+      Rng Rand(R + 1);
+      ReadersUp.fetch_add(1, std::memory_order_release);
+      while (WritersDone.load(std::memory_order_acquire) < Writers)
+        Txn::runSnapshot([&] {
+          Txn &T = Txn::forThisThread();
+          unsigned C = std::min(Cursor.load(std::memory_order_relaxed),
+                                NumObjects);
+          for (int K = 0; K < 8; ++K) {
+            unsigned Back = unsigned(Rand.nextBelow(8));
+            unsigned I = C > Back ? C - 1 - Back : 0;
+            Word A = T.read(Objs[I], 0);
+            Word B = T.read(Objs[I], 1);
+            if ((A >> 32) != I || A != B)
+              Bad.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+    });
+  for (auto &T : Ts)
+    T.join();
+  EXPECT_EQ(Bad.load(), 0u);
+
+  // One entry per object, each its own, none lost to a segment race.
+  EXPECT_EQ(snap::tableEntries(), size_t(NumObjects));
+  std::vector<uint32_t> Indexes;
+  unsigned Chainless = 0;
+  for (Object *O : Objs) {
+    Indexes.push_back(O->versionIndex());
+    Chainless += !snap::hasChain(O);
+  }
+  EXPECT_EQ(Chainless, 0u);
+  std::sort(Indexes.begin(), Indexes.end());
+  EXPECT_EQ(std::adjacent_find(Indexes.begin(), Indexes.end()),
+            Indexes.end());
+  EXPECT_NE(Indexes.front(), 0u);
+  unsigned Wrong = 0;
+  Txn::runSnapshot([&] {
+    Txn &T = Txn::forThisThread();
+    for (unsigned I = 0; I < NumObjects; ++I)
+      if (T.read(Objs[I], 0) != Tag(I, 1) || T.read(Objs[I], 1) != Tag(I, 1))
+        ++Wrong;
+  });
+  EXPECT_EQ(Wrong, 0u);
 }
 
 TEST_F(SnapshotTxnTest, ResetTableFreesEverything) {

@@ -30,8 +30,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <thread>
 #include <vector>
+
+#include <sched.h>
 
 using namespace satm;
 using namespace satm::rt;
@@ -45,6 +48,18 @@ const TypeDescriptor PairType("Pair", 2, {});
 bool fastTests() {
   const char *Env = std::getenv("SATM_FAST_TESTS");
   return Env && Env[0] == '1';
+}
+
+/// Pins the calling thread to CPU \p K modulo the CPU count (a no-op on
+/// one CPU, or if the affinity call fails).
+void pinToCpu(unsigned K) {
+  unsigned N = std::thread::hardware_concurrency();
+  if (N < 2)
+    return;
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  CPU_SET(K % N, &Set);
+  sched_setaffinity(0, sizeof(Set), &Set);
 }
 
 class SnapshotTxnTest : public ::testing::Test {
@@ -450,7 +465,10 @@ TEST_F(SnapshotTxnTest, ConcurrentFirstChainsKeepTheirOwnEntries) {
   // of each new segment) are claimed by racing writers, across several
   // segments. Snapshot readers meanwhile read just behind the cursor,
   // where chains are being created, and check that every value carries
-  // its own object's tag and that both slots of one version agree.
+  // its own object's tag and that both slots of one version agree. Each
+  // thread has its own CPU where there are enough: left to the scheduler,
+  // the writers of so short a run tend to share one and take turns, and
+  // the segment-install race never happens.
   const unsigned NumObjects = fastTests() ? 10000 : 40000;
   constexpr unsigned Writers = 2;
   constexpr unsigned Readers = 2;
@@ -462,14 +480,14 @@ TEST_F(SnapshotTxnTest, ConcurrentFirstChainsKeepTheirOwnEntries) {
     Objs[I]->rawStore(1, Tag(I, 0));
   }
   std::atomic<unsigned> Cursor{0};
-  std::atomic<unsigned> ReadersUp{0};
   std::atomic<unsigned> WritersDone{0};
   std::atomic<uint64_t> Bad{0};
+  std::latch Start(Writers + Readers);
   std::vector<std::thread> Ts;
   for (unsigned W = 0; W < Writers; ++W)
-    Ts.emplace_back([&] {
-      while (ReadersUp.load(std::memory_order_acquire) < Readers)
-        std::this_thread::yield();
+    Ts.emplace_back([&, W] {
+      pinToCpu(W);
+      Start.arrive_and_wait();
       for (unsigned I; (I = Cursor.fetch_add(1)) < NumObjects;)
         atomically([&] {
           Txn &T = Txn::forThisThread();
@@ -481,7 +499,8 @@ TEST_F(SnapshotTxnTest, ConcurrentFirstChainsKeepTheirOwnEntries) {
   for (unsigned R = 0; R < Readers; ++R)
     Ts.emplace_back([&, R] {
       Rng Rand(R + 1);
-      ReadersUp.fetch_add(1, std::memory_order_release);
+      pinToCpu(Writers + R);
+      Start.arrive_and_wait();
       while (WritersDone.load(std::memory_order_acquire) < Writers)
         Txn::runSnapshot([&] {
           Txn &T = Txn::forThisThread();

@@ -41,16 +41,18 @@
 // Three durability modes (--durability=off|async|sync, DESIGN.md §12):
 //  - off (default): no write-ahead log at all — the log path is elided
 //    down to one predicted branch per mutation.
-//  - async: committing transactions publish redo records into per-shard
-//    rings at their Quiescence publish ticket; background drain threads
-//    group-commit them with batched fsync. Requests ack at ring publish,
-//    so a crash loses at most the un-fsynced window.
+//  - async: committing transactions append redo records to their own
+//    in-memory logs at their Quiescence publish ticket; one drain thread
+//    merges them into the redo log in commit order and group-commits each
+//    cycle with one fsync. Requests ack at log append, so a crash loses
+//    at most the un-fsynced window.
 //  - sync: requests ack only after waitDurable observes their commit's
 //    group fsynced; the wait is charged to the request's latency. Acked
 //    writes survive any kill point.
 // Every durable entry also runs the recovery-time benchmark: after the
-// measured window, a fresh store is prepopulated and the run's entire log
-// replayed into it shard-parallel; the wall time lands in the entry's
+// measured window, a fresh store is prepopulated and the run's log (above
+// its newest checkpoint) scanned once and replayed into it, one thread
+// per group of store shards; the wall time lands in the entry's
 // durability block as recovery_ms.
 //
 // The kv/overload/* suite entries run the overload-degradation experiment:
@@ -163,8 +165,8 @@ struct RunConfig {
   /// measured throughput of the earlier suite entry with this name.
   std::string CalibrateFrom;
   double QpsFactor = 0;
-  /// Durability plane (DESIGN.md §12): attach a per-shard redo log; under
-  /// Sync, ack mutations only after their group-commit fsync.
+  /// Durability plane (DESIGN.md §12): attach the redo log; under Sync,
+  /// ack mutations only after their group-commit fsync.
   kv::DurabilityMode Dur = kv::DurabilityMode::Off;
   std::string WalDir; ///< Log directory; empty = per-pid /tmp scratch.
   /// Checkpoint + WAL-compaction plane (DESIGN.md §14): snapshot the
@@ -417,7 +419,6 @@ RunResult runService(const RunConfig &C) {
   std::optional<kv::Checkpointer> CP;
   if (C.Dur != kv::DurabilityMode::Off) {
     WC.Dir = C.WalDir.empty() ? defaultWalDir(C.Name) : C.WalDir;
-    WC.Shards = S.shards();
     std::filesystem::remove_all(WC.Dir); // Per-run scratch: start empty.
     W.emplace(WC);
     W->start();
@@ -476,10 +477,10 @@ RunResult runService(const RunConfig &C) {
     W->stop(); // Final drain + fsync: the log now holds every commit.
     Total.HasDurability = true;
     Total.Wal = W->stats();
-    // Recovery-time benchmark: replay this run's entire log into a fresh
-    // store from the same prepopulated state, shard-parallel. Failures
-    // here mean the log and the store disagree — that is a correctness
-    // bug, not a slow run, so it is fatal.
+    // Recovery-time benchmark: replay this run's log into a fresh store
+    // from the same prepopulated state (one scan, replay fanned out by
+    // store shard). Failures here mean the log and the store disagree —
+    // that is a correctness bug, not a slow run, so it is fatal.
     rt::Heap RH;
     kv::Store RS(RH, KC);
     for (uint64_t K = 0; K < C.Keys; ++K)
@@ -805,7 +806,6 @@ int runServe(const RunConfig &C, const ServeOptions &O) {
   std::optional<kv::Checkpointer> CP;
   if (C.Dur != kv::DurabilityMode::Off) {
     WC.Dir = C.WalDir.empty() ? defaultWalDir("serve") : C.WalDir;
-    WC.Shards = S.shards();
     std::filesystem::remove_all(WC.Dir);
     W.emplace(WC);
     W->start();

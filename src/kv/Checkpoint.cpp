@@ -10,11 +10,10 @@
 #include "support/FaultInjector.h"
 #include "support/Stopwatch.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -70,37 +69,14 @@ bool writeAll(int Fd, const uint8_t *P, size_t N) {
   return true;
 }
 
-void fsyncDir(const std::string &Dir) {
-  int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (DirFd >= 0) {
-    ::fsync(DirFd);
-    ::close(DirFd);
-  }
-}
-
 } // namespace
 
 std::string ckpt::checkpointFile(const std::string &Dir, uint64_t Lsn) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "/ckpt-%020llu.ckpt",
-                (unsigned long long)Lsn);
-  return Dir + Buf;
+  return numberedFile(Dir, "ckpt-", Lsn, ".ckpt");
 }
 
 std::vector<uint64_t> ckpt::listCheckpoints(const std::string &Dir) {
-  std::vector<uint64_t> Out;
-  std::error_code Ec;
-  for (const auto &E : std::filesystem::directory_iterator(Dir, Ec)) {
-    const std::string Name = E.path().filename().string();
-    unsigned long long Lsn = 0;
-    int Consumed = 0;
-    if (std::sscanf(Name.c_str(), "ckpt-%20llu.ckpt%n", &Lsn, &Consumed) ==
-            1 &&
-        Consumed == int(Name.size()))
-      Out.push_back(Lsn);
-  }
-  std::sort(Out.begin(), Out.end());
-  return Out;
+  return listNumberedFiles(Dir, "ckpt-", ".ckpt");
 }
 
 bool ckpt::writeCheckpoint(const std::string &Dir, const CheckpointImage &Img,
@@ -168,7 +144,10 @@ bool ckpt::writeCheckpoint(const std::string &Dir, const CheckpointImage &Img,
     ::unlink(Tmp.c_str());
     return Fail("rename", Path);
   }
-  fsyncDir(Dir);
+  // Until the directory entry is durable the checkpoint may vanish, so
+  // it does not count as published (and retires no history).
+  if (!fsyncDir(Dir))
+    return Fail("directory fsync", Dir);
   return true;
 }
 
@@ -251,14 +230,12 @@ void ckpt::removeCheckpointsBelow(const std::string &Dir, uint64_t KeepLsn) {
 
 Checkpointer::Checkpointer(Store &S, Wal &W, const Config &C)
     : S(S), W(W), Cfg(C) {
-  // Resume rotation where a previous incarnation left off: the two
-  // newest on-disk barriers are the retained generations (recover()
-  // already vouched for — or discarded — their content).
+  // Resume rotation where a previous incarnation left off: the newest
+  // on-disk barrier is the generation the next one retires history
+  // below (recover() already vouched for — or discarded — its content).
   std::vector<uint64_t> Lsns = ckpt::listCheckpoints(W.dir());
   if (!Lsns.empty())
     NewestLsn = Lsns.back();
-  if (Lsns.size() >= 2)
-    PrevLsn = Lsns[Lsns.size() - 2];
 }
 
 Checkpointer::~Checkpointer() { stop(); }
@@ -312,6 +289,10 @@ void Checkpointer::loop() {
 
 bool Checkpointer::runOnce(std::string *Err) {
   Stopwatch Timer;
+  // Close the log's open segment first: every segment before the roll
+  // then ends at or near the barrier pinned below, so the next
+  // checkpoint's truncation deletes it whole.
+  W.rollSegment();
   // Scan under one pinned epoch; the epoch→LSN conversion is exact (see
   // Wal::lsnOfTicket). The image is staged in memory so no file I/O —
   // and no fault site — runs inside the snapshot region.
@@ -337,15 +318,14 @@ bool Checkpointer::runOnce(std::string *Err) {
   }
   // Retire history: with Img published, the prior newest checkpoint
   // becomes the fallback generation. Older checkpoints go, and the WAL
-  // is truncated below the *fallback's* barrier — its suffix is exactly
-  // what recovery needs if Img is later found corrupt. Rotation is a
-  // no-op until the second checkpoint exists.
+  // loses the segments wholly below the *fallback's* barrier — the
+  // suffix above it is exactly what recovery needs if Img is later found
+  // corrupt. Rotation is a no-op until the second checkpoint exists.
   if (NewestLsn > 0) {
     ckpt::removeCheckpointsBelow(W.dir(), NewestLsn);
     uint64_t Removed = W.truncateBelow(NewestLsn);
     StatTruncatedBytes.fetch_add(Removed, std::memory_order_relaxed);
   }
-  PrevLsn = NewestLsn;
   NewestLsn = Img.Lsn;
   StatWritten.fetch_add(1, std::memory_order_relaxed);
   StatLastLsn.store(Img.Lsn, std::memory_order_relaxed);

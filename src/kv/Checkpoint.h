@@ -6,14 +6,16 @@
 ///
 /// \file
 /// The checkpoint + compaction plane that bounds crash recovery
-/// (DESIGN.md §14; ROADMAP item 1 follow-up). A background checkpointer
-/// periodically:
+/// (DESIGN.md §14). A background checkpointer periodically:
 ///
-///   1. pins a snapshot epoch and streams every live (key, value) pair —
-///      and every erasure, as a Tombstone entry — out of the store via
-///      Store::snapshotScan. The snapshot plane guarantees the scan sees
-///      exactly the commits with publish ticket <= the pinned epoch E, a
-///      prefix of commit order, without blocking writers;
+///   1. rolls the log (Wal::rollSegment), then pins a snapshot epoch and
+///      streams every live (key, value) pair — and every erasure, as a
+///      Tombstone entry — out of the store via Store::snapshotScan. The
+///      snapshot plane guarantees the scan sees exactly the commits with
+///      publish ticket <= the pinned epoch E, a prefix of commit order,
+///      without blocking writers. The roll before the pin ends the log's
+///      segments at or just past E's barrier, so step 3 of the next
+///      cycle deletes them whole;
 ///   2. converts E into the checkpoint barrier LSN via Wal::lsnOfTicket
 ///      (WAL records are appended inside the publish window, so LSN
 ///      order *is* ticket order) and writes the image to
@@ -21,11 +23,12 @@
 ///      A torn or half-written checkpoint therefore never shadows the
 ///      previous valid one — the rename is the atomic publication point;
 ///   3. retires history: checkpoints older than the *previous* one are
-///      deleted and the WAL is truncated below the previous barrier
-///      (Wal::truncateBelow). Two generations stay on disk by design —
-///      if the newest checkpoint is later found corrupt, recovery falls
-///      back to the previous one, and the WAL suffix it needs (records
-///      above the *previous* barrier) is exactly what retention kept.
+///      deleted, and so are the log segments wholly at or below the
+///      previous barrier (Wal::truncateBelow). Two generations stay on
+///      disk by design — if the newest checkpoint is later found
+///      corrupt, recovery falls back to the previous one, and the WAL
+///      suffix it needs (records above the *previous* barrier) is
+///      exactly what retention kept.
 ///
 /// Wal::recover consumes the other end: it loads the newest valid
 /// checkpoint (ckpt::loadNewestValid), applies the image, and replays
@@ -169,11 +172,10 @@ private:
   bool Stopping = false;
   bool Running = false;
 
-  /// Barriers of the two retained generations (0 = none yet). Seeded
-  /// from the directory at construction so a restarted process keeps
-  /// rotating instead of re-writing from scratch.
+  /// Barrier of the newest checkpoint (0 = none yet). Seeded from the
+  /// directory at construction so a restarted process keeps rotating
+  /// instead of re-writing from scratch.
   uint64_t NewestLsn = 0;
-  uint64_t PrevLsn = 0;
   /// Wal record count at the last trigger, for the interval test.
   uint64_t LastTriggerRecords = 0;
 

@@ -22,6 +22,7 @@
 #include <functional>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace satm;
@@ -92,49 +93,50 @@ bool writeFully(int Fd, const void *P, size_t Size, size_t &Off) {
   return true;
 }
 
-/// Records per read in truncateBelow's copy. Copying in chunks keeps a
-/// rotation's memory flat: a hot shard's file can run to tens of MB.
-constexpr size_t CopyChunkRecords = 4096;
+} // namespace
 
-/// Copies the whole records of \p In from byte \p InOff onward that lie
-/// above \p Barrier to \p Out, a chunk at a time, advancing \p InOff and
-/// adding the skipped bytes to \p Dropped. A record still being appended
-/// at the end is left for the next call. False on an I/O error.
-bool copyAboveBarrier(int In, uint64_t &InOff, int Out, uint64_t Barrier,
-                      std::vector<WalRecord> &Chunk, uint64_t &Dropped) {
-  for (;;) {
-    ssize_t N = ::pread(In, Chunk.data(), Chunk.size() * sizeof(WalRecord),
-                        off_t(InOff));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    const size_t Whole = size_t(N) / sizeof(WalRecord);
-    if (Whole == 0)
-      return true;
-    size_t Kept = 0;
-    for (size_t I = 0; I < Whole; ++I) {
-      if (Chunk[I].Lsn > Barrier)
-        Chunk[Kept++] = Chunk[I];
-      else
-        Dropped += sizeof(WalRecord);
-    }
-    size_t Off;
-    if (!writeFully(Out, Chunk.data(), Kept * sizeof(WalRecord), Off))
-      return false;
-    InOff += Whole * sizeof(WalRecord);
-  }
+bool satm::kv::fsyncDir(const std::string &Dir) {
+  int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (DirFd < 0)
+    return false;
+  const bool Ok = ::fsync(DirFd) == 0;
+  ::close(DirFd);
+  return Ok;
 }
 
-} // namespace
+std::string satm::kv::numberedFile(const std::string &Dir, const char *Prefix,
+                                   uint64_t N, const char *Suffix) {
+  char Buf[24];
+  std::snprintf(Buf, sizeof(Buf), "%020llu", (unsigned long long)N);
+  return Dir + "/" + Prefix + Buf + Suffix;
+}
+
+std::vector<uint64_t> satm::kv::listNumberedFiles(const std::string &Dir,
+                                                  const char *Prefix,
+                                                  const char *Suffix) {
+  const std::string Pattern = std::string(Prefix) + "%20llu" + Suffix + "%n";
+  std::vector<uint64_t> Out;
+  std::error_code Ec;
+  for (const auto &E : std::filesystem::directory_iterator(Dir, Ec)) {
+    const std::string Name = E.path().filename().string();
+    unsigned long long N = 0;
+    int Consumed = 0;
+    if (std::sscanf(Name.c_str(), Pattern.c_str(), &N, &Consumed) == 1 &&
+        Consumed == int(Name.size()))
+      Out.push_back(N);
+  }
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
 
 uint64_t Wal::lastAppendedLsn() { return TlsLastAppendedLsn; }
 
-std::string Wal::shardFile(uint32_t Shard) const {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "/shard-%04u.wal", Shard);
-  return Cfg.Dir + Buf;
+std::string Wal::segmentFile(const std::string &Dir, uint64_t FirstLsn) {
+  return numberedFile(Dir, "wal-", FirstLsn, ".log");
+}
+
+std::vector<uint64_t> Wal::listSegments(const std::string &Dir) {
+  return listNumberedFiles(Dir, "wal-", ".log");
 }
 
 Wal::Wal(const Config &C) : Cfg(C) {
@@ -143,48 +145,30 @@ Wal::Wal(const Config &C) : Cfg(C) {
   std::filesystem::create_directories(Cfg.Dir, Ec); // Pre-existing is fine.
   Logs = std::make_unique<std::atomic<CommitterLog *>[]>(
       stm::Quiescence::MaxThreads);
-  Fds.assign(Cfg.Shards, -1);
-  FileLocks.resize(Cfg.Shards);
-  for (auto &M : FileLocks)
-    M = std::make_unique<std::mutex>();
 }
 
 Wal::~Wal() {
   stop();
-  for (int Fd : Fds)
-    if (Fd >= 0)
-      ::close(Fd);
+  if (Fd >= 0)
+    ::close(Fd);
   for (unsigned I = 0; I < stm::Quiescence::MaxThreads; ++I)
     delete Logs[I].load(std::memory_order_relaxed);
 }
 
 void Wal::start() {
   assert(!Started && "wal already started");
-  for (uint32_t S = 0; S < Cfg.Shards; ++S) {
-    if (Fds[S] >= 0)
-      continue;
-    Fds[S] = ::open(shardFile(S).c_str(), O_CREAT | O_WRONLY | O_APPEND,
-                    0644);
-    if (Fds[S] < 0)
-      ioFatal("open", shardFile(S));
-  }
-  // Persist the directory entries once, so a crash right after start
-  // cannot lose the (empty) shard files themselves.
-  int DirFd = ::open(Cfg.Dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (DirFd >= 0) {
-    ::fsync(DirFd);
-    ::close(DirFd);
-  }
-  // A restart of the same instance continues past everything it already
-  // logged (the logs are empty here: stop() drained them).
+  // No file is opened here: the first write starts a segment named by
+  // its first record. A restart of the same instance continues past
+  // everything it already logged (the logs are empty here: stop() drained
+  // them), in the segment it left open.
   LastLsn = std::max(LastLsn, DrainedLsn);
   // Derive the LSN base from the *live* ticket counter, not from an
   // assumed fresh-process value: recovery replay under SnapshotEnabled,
   // pre-attach prepopulation, and earlier runs in this process all
-  // consume publish tickets, and the merge's hole rule (recover(), phase
-  // 2) needs the first logged commit to land at exactly LastLsn + 1.
-  // Unsigned wrap-around in the subtraction is fine — append computes
-  // BaseLsn + Ticket, which unwraps it.
+  // consume publish tickets, and recovery's hole rule needs the first
+  // logged commit to land at exactly LastLsn + 1. Unsigned wrap-around in
+  // the subtraction is fine — append computes BaseLsn + Ticket, which
+  // unwraps it.
   BaseLsn = LastLsn - stm::Quiescence::lastPublishTicket();
   DurableLsn.store(LastLsn, std::memory_order_relaxed);
   Stopping.store(false, std::memory_order_relaxed);
@@ -221,8 +205,8 @@ Wal::CommitterLog &Wal::logForThisThread() {
   return *L;
 }
 
-void Wal::append(uint32_t Shard, WalOp Op, Word Key, Word Val,
-                 uint64_t Ticket, uint32_t Index, uint32_t Count) {
+void Wal::append(WalOp Op, Word Key, Word Val, uint64_t Ticket,
+                 uint32_t Index, uint32_t Count) {
   assert(Started && "append on a stopped wal");
   if (faultPoint(FaultSite::LogAppend))
     faultSpin(FaultInjector::arg(FaultSite::LogAppend));
@@ -250,16 +234,13 @@ void Wal::append(uint32_t Shard, WalOp Op, Word Key, Word Val,
     while (H - L.Tail.load(std::memory_order_acquire) >= Cfg.RingSlots)
       B.pause();
   }
-  L.Buf[H & Mask] = {Lsn, WalRecord::packMeta(Op, Index, Count), Key, Val,
-                     Shard};
+  L.Buf[H & Mask] = {Lsn, WalRecord::packMeta(Op, Index, Count), Key, Val};
   L.Head.store(H + 1, std::memory_order_release);
 }
 
 void Wal::publishHook(void *Ctx, uint64_t Ticket, uint32_t Index,
                       uint32_t Count, Word A, Word B, Word C) {
-  static_cast<Wal *>(Ctx)->append(uint32_t(A & 0xffffffffu),
-                                  WalOp(uint32_t(A >> 32)), B, C, Ticket,
-                                  Index, Count);
+  static_cast<Wal *>(Ctx)->append(WalOp(A), B, C, Ticket, Index, Count);
 }
 
 //===----------------------------------------------------------------------===
@@ -268,19 +249,19 @@ void Wal::publishHook(void *Ctx, uint64_t Ticket, uint32_t Index,
 
 void Wal::drainLoop() {
   DrainScratch D;
-  D.ShardBuf.resize(Cfg.Shards);
   for (;;) {
     {
       std::unique_lock<std::mutex> Lock(WaitMutex);
       DrainCv.wait_for(Lock, std::chrono::microseconds(Cfg.FlushIntervalUs),
                        [&] {
                          return Stopping.load(std::memory_order_acquire) ||
-                                SyncWaitersPending > 0;
+                                SyncWaitersPending > 0 || Request;
                        });
     }
     if (Stopping.load(std::memory_order_acquire))
       break;
     drainCycle(D);
+    serveRequest();
   }
   // Final drain: every ticket issued before stop() must reach the
   // frontier, so each of their records is at or below the last cut. Keep
@@ -320,12 +301,12 @@ void Wal::drainCycle(DrainScratch &D) {
       D.Heap.push_back({L->Buf[T & Mask].Lsn, D.Cursors.size() - 1});
   }
 
-  // K-way merge by LSN into the shard buffers. Each log is LSN-ordered and
+  // K-way merge by LSN into the write buffer. Each log is LSN-ordered and
   // holds a group's records contiguously, so the merge moves one whole
   // group at a time from the log with the smallest head LSN.
   const auto MinFirst = std::greater<DrainScratch::HeapItem>();
   std::make_heap(D.Heap.begin(), D.Heap.end(), MinFirst);
-  D.Dirty.clear();
+  D.Buf.clear();
   while (!D.Heap.empty()) {
     std::pop_heap(D.Heap.begin(), D.Heap.end(), MinFirst);
     const auto [Lsn, C] = D.Heap.back();
@@ -335,10 +316,7 @@ void Wal::drainCycle(DrainScratch &D) {
       const LogEntry &E = Cur.Log->Buf[Cur.Pos & Mask];
       if (E.Lsn != Lsn)
         break;
-      std::vector<WalRecord> &Buf = D.ShardBuf[E.Shard];
-      if (Buf.empty())
-        D.Dirty.push_back(uint32_t(E.Shard));
-      WalRecord &R = Buf.emplace_back();
+      WalRecord &R = D.Buf.emplace_back();
       R.Lsn = E.Lsn;
       R.Meta = E.Meta;
       R.Key = E.Key;
@@ -355,78 +333,99 @@ void Wal::drainCycle(DrainScratch &D) {
     }
   }
   // Everything taken is copied out: hand the space back to the committers
-  // before the (slow) writes and fsyncs.
+  // before the (slow) write and fsync.
   for (const DrainScratch::Cursor &Cur : D.Cursors)
     Cur.Log->Tail.store(Cur.Pos, std::memory_order_release);
 
+  // Degraded: keep consuming (producers must never stall on a log no one
+  // will drain) but discard — the log is sealed and these records will
+  // never be fsync-acked.
+  uint64_t Dropped = 0;
   bool Degraded = DegradedFlag.load(std::memory_order_acquire);
-  uint64_t Written = 0, Dropped = 0;
-  size_t NumWritten = 0; // D.Dirty's prefix of shards written this cycle.
-  for (uint32_t S : D.Dirty) {
-    std::vector<WalRecord> &Buf = D.ShardBuf[S];
-    // Degraded: keep consuming (producers must never stall on a log no one
-    // will drain) but discard — the log is sealed and these records will
-    // never be fsync-acked.
-    if (Degraded) {
-      Dropped += Buf.size();
-      Buf.clear();
-      continue;
-    }
-    const size_t Size = Buf.size() * sizeof(WalRecord);
-    // Injected disk-full: the shard write fails as if write(2) returned
-    // ENOSPC. Real write errors take the same path — degrade, not abort.
-    size_t Off = 0;
-    bool WriteOk;
-    if (faultPoint(FaultSite::LogEnospc)) {
-      errno = ENOSPC;
-      WriteOk = false;
-    } else {
-      std::lock_guard<std::mutex> FLock(*FileLocks[S]);
-      WriteOk = writeFully(Fds[S], Buf.data(), Size, Off);
-    }
-    Buf.clear();
-    if (!WriteOk) {
-      enterDegraded("write", shardFile(S));
-      Degraded = true;
-      Dropped += (Size - Off + sizeof(WalRecord) - 1) / sizeof(WalRecord);
-      continue;
-    }
-    Written += Size / sizeof(WalRecord);
-    D.Dirty[NumWritten++] = S;
-  }
-  D.Dirty.resize(NumWritten);
-  StatRecordsWritten.fetch_add(Written, std::memory_order_relaxed);
-  StatBytesWritten.fetch_add(Written * sizeof(WalRecord),
-                             std::memory_order_relaxed);
+  if (Degraded)
+    Dropped = D.Buf.size();
+  else if (!D.Buf.empty())
+    Degraded = !writeSegment(D.Buf, Dropped);
   StatDroppedRecords.fetch_add(Dropped, std::memory_order_relaxed);
-  if (!D.Dirty.empty() && !Degraded) {
-    // Group commit: one fsync per dirty shard file covers every record
-    // that accumulated since the previous cycle; untouched files are
-    // skipped (an fsync can cost a device cache flush even when clean).
-    if (faultPoint(FaultSite::LogFsync))
-      faultSpin(FaultInjector::arg(FaultSite::LogFsync));
-    for (uint32_t S : D.Dirty) {
-      std::lock_guard<std::mutex> FLock(*FileLocks[S]);
-      if (::fsync(Fds[S]) < 0) {
-        enterDegraded("fsync", shardFile(S));
-        Degraded = true;
-        break;
-      }
-    }
-    if (!Degraded)
-      StatFsyncBatches.fetch_add(1, std::memory_order_relaxed);
-  }
   // Advance durability to the cut — even on an idle cycle (nothing to
   // write means every record at or below Cut was already durable). Never
-  // while degraded: a failed write or fsync anywhere this cycle means Cut
-  // was not honestly reached, and DurableLsn stays frozen at the last cut
-  // that was.
+  // while degraded: a failed write or fsync means Cut was not honestly
+  // reached, and DurableLsn stays frozen at the last cut that was.
   if (!Degraded) {
     std::lock_guard<std::mutex> Lock(WaitMutex);
     if (Cut > DurableLsn.load(std::memory_order_relaxed))
       DurableLsn.store(Cut, std::memory_order_release);
   }
   DurableCv.notify_all();
+}
+
+bool Wal::writeSegment(const std::vector<WalRecord> &Buf, uint64_t &Dropped) {
+  if (Fd < 0) {
+    // A new segment is named by its first record, and its directory entry
+    // must be durable before any record in it is acked: a segment the
+    // directory forgets takes its acked records with it.
+    OpenSegment = Buf.front().Lsn;
+    const std::string Path = segmentFile(Cfg.Dir, OpenSegment);
+    Fd = ::open(Path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
+    if (Fd < 0 || !fsyncDir(Cfg.Dir)) {
+      enterDegraded("segment create", Path);
+      Dropped += Buf.size();
+      return false;
+    }
+  }
+  const size_t Size = Buf.size() * sizeof(WalRecord);
+  // Injected disk-full: the write fails as if write(2) returned ENOSPC.
+  // Real write errors take the same path — degrade, not abort.
+  size_t Off = 0;
+  bool WriteOk;
+  if (faultPoint(FaultSite::LogEnospc)) {
+    errno = ENOSPC;
+    WriteOk = false;
+  } else {
+    WriteOk = writeFully(Fd, Buf.data(), Size, Off);
+  }
+  if (!WriteOk) {
+    enterDegraded("write", segmentFile(Cfg.Dir, OpenSegment));
+    Dropped += (Size - Off + sizeof(WalRecord) - 1) / sizeof(WalRecord);
+    return false;
+  }
+  StatRecordsWritten.fetch_add(Buf.size(), std::memory_order_relaxed);
+  StatBytesWritten.fetch_add(Size, std::memory_order_relaxed);
+  // Group commit: one fsync covers every record that accumulated since
+  // the previous cycle.
+  if (faultPoint(FaultSite::LogFsync))
+    faultSpin(FaultInjector::arg(FaultSite::LogFsync));
+  if (::fsync(Fd) < 0) {
+    enterDegraded("fsync", segmentFile(Cfg.Dir, OpenSegment));
+    return false;
+  }
+  StatFsyncBatches.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void Wal::betweenCycles(const std::function<void()> &Fn) {
+  assert(Started && "only a running drainer serves requests");
+  std::unique_lock<std::mutex> Lock(WaitMutex);
+  RequestCv.wait(Lock, [&] { return Request == nullptr; }); // One at a time.
+  Request = &Fn;
+  DrainCv.notify_all();
+  RequestCv.wait(Lock, [&] { return Request != &Fn; });
+}
+
+void Wal::serveRequest() {
+  const std::function<void()> *Fn;
+  {
+    std::lock_guard<std::mutex> Lock(WaitMutex);
+    Fn = Request;
+  }
+  if (!Fn)
+    return;
+  (*Fn)();
+  {
+    std::lock_guard<std::mutex> Lock(WaitMutex);
+    Request = nullptr;
+  }
+  RequestCv.notify_all();
 }
 
 void Wal::enterDegraded(const char *What, const std::string &Path) {
@@ -491,81 +490,60 @@ WalStats Wal::stats() const {
 }
 
 //===----------------------------------------------------------------------===
-// Compaction (checkpoint barrier rotation).
+// Segment rolls and compaction (drain thread, between cycles).
 //===----------------------------------------------------------------------===
 
+void Wal::rollSegment() {
+  // The cycle that wrote each record also fsynced it, so closing the
+  // segment needs no sync of its own.
+  betweenCycles([this] {
+    if (Fd >= 0)
+      ::close(Fd);
+    Fd = -1;
+  });
+}
+
 uint64_t Wal::truncateBelow(uint64_t Barrier) {
-  assert(Started && "truncateBelow serves the live checkpointer");
+  uint64_t Removed = 0;
+  betweenCycles([&] { Removed = deleteSegmentsBelow(Barrier); });
+  return Removed;
+}
+
+uint64_t Wal::deleteSegmentsBelow(uint64_t Barrier) {
   // Only durable prefixes may be dropped: a record still in a log (or
   // never fsynced at all) below the barrier would otherwise vanish from
-  // both the log and the next recovery. A degraded log skips rotation
-  // entirely — its files are frozen evidence.
+  // both the log and the next recovery. A degraded log keeps its files
+  // as evidence.
   if (DegradedFlag.load(std::memory_order_acquire) ||
       DurableLsn.load(std::memory_order_acquire) < Barrier)
     return 0;
   uint64_t Removed = 0;
-  bool Rotated = false;
-  std::vector<WalRecord> Chunk(CopyChunkRecords);
-  for (uint32_t S = 0; S < Cfg.Shards; ++S) {
-    const std::string Path = shardFile(S);
+  for (uint64_t First : listSegments(Cfg.Dir)) {
+    if (Fd >= 0 && First >= OpenSegment)
+      break; // The open segment takes the next records.
+    // Records are LSN-ordered, so a segment lies at or below the barrier
+    // iff its last whole record does (an empty one holds nothing).
+    const std::string Path = segmentFile(Cfg.Dir, First);
     int In = ::open(Path.c_str(), O_RDONLY);
     if (In < 0)
-      continue;
-    // Shard files are (Lsn, Index)-monotone, so the records at or below
-    // the barrier are a prefix: nothing to drop if the first is above it.
-    WalRecord First;
-    if (::pread(In, &First, sizeof(First), 0) != ssize_t(sizeof(First)) ||
-        First.Lsn > Barrier) {
-      ::close(In);
-      continue;
-    }
-    // Write-temp → fsync → rename-over → reopen the append fd on the new
-    // inode. The bulk copy runs without the shard lock — the drainer keeps
-    // appending whole records meanwhile, so a rotation never stalls the
-    // log for a whole file's worth of I/O — and the lock covers only the
-    // catch-up on what it appended since, the fsync and the swap. Any
-    // failure abandons this shard's rotation (the old file and fd stay
-    // authoritative) — except a post-rename reopen failure, which would
-    // silently route appends to a dead inode and so seals the log instead.
-    const std::string Tmp = Path + ".tmp";
-    int Out = ::open(Tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    if (Out < 0) {
-      ::close(In);
-      continue;
-    }
-    uint64_t InOff = 0, Dropped = 0;
-    bool Ok = copyAboveBarrier(In, InOff, Out, Barrier, Chunk, Dropped) &&
-              ::fsync(Out) == 0;
-    {
-      std::lock_guard<std::mutex> FLock(*FileLocks[S]);
-      // With the lock held no write is in flight: the file is record-
-      // aligned and the catch-up copy reaches its true end.
-      Ok = Ok && copyAboveBarrier(In, InOff, Out, Barrier, Chunk, Dropped) &&
-           ::fsync(Out) == 0;
-      ::close(Out);
-      ::close(In);
-      if (!Ok || ::rename(Tmp.c_str(), Path.c_str()) < 0) {
-        ::unlink(Tmp.c_str());
-        continue;
-      }
-      int NFd = ::open(Path.c_str(), O_WRONLY | O_APPEND);
-      if (NFd < 0) {
-        enterDegraded("reopen", Path);
-        return Removed;
-      }
-      ::close(Fds[S]);
-      Fds[S] = NFd;
-    }
-    Removed += Dropped;
-    Rotated = true;
+      break;
+    struct stat St {};
+    WalRecord Last;
+    bool Below = ::fstat(In, &St) == 0;
+    const off_t End = St.st_size / off_t(sizeof(Last)) * off_t(sizeof(Last));
+    if (Below && End > 0)
+      Below = ::pread(In, &Last, sizeof(Last), End - off_t(sizeof(Last))) ==
+                  ssize_t(sizeof(Last)) &&
+              Last.Check == Last.checksum() && Last.Lsn <= Barrier;
+    ::close(In);
+    if (!Below || ::unlink(Path.c_str()) != 0)
+      break;
+    Removed += uint64_t(St.st_size);
   }
-  if (Rotated) {
-    int DirFd = ::open(Cfg.Dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (DirFd >= 0) {
-      ::fsync(DirFd);
-      ::close(DirFd);
-    }
-  }
+  // A deleted segment that power loss brings back holds only records the
+  // checkpoint covers, which recovery skips: the sync is best-effort.
+  if (Removed)
+    fsyncDir(Cfg.Dir);
   return Removed;
 }
 
@@ -573,78 +551,17 @@ uint64_t Wal::truncateBelow(uint64_t Barrier) {
 // Recovery.
 //===----------------------------------------------------------------------===
 
-namespace {
-
-/// One shard's validated scan: the longest file prefix of records that
-/// checksum correctly and are (Lsn, Index)-monotone. ValidBytes is where
-/// that prefix ends; everything after is torn or corrupt.
-struct ShardScan {
-  std::vector<WalRecord> Recs;
-  uint64_t ValidBytes = 0;
-  uint64_t FileBytes = 0;
-  bool Torn = false;
-  bool ReplayFaultStop = false;
-};
-
-void scanShard(const std::string &Path, ShardScan &Out) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return; // No file: empty log.
-  WalRecord Rec;
-  for (;;) {
-    size_t N = std::fread(&Rec, 1, sizeof(Rec), F);
-    Out.FileBytes += N;
-    if (N < sizeof(Rec)) {
-      Out.Torn |= N != 0; // Short tail: a record cut mid-write.
-      break;
-    }
-    if (Rec.Check != Rec.checksum()) {
-      Out.Torn = true; // Bit-flip or zero-fill: stop, never replay.
-      break;
-    }
-    if (!Out.Recs.empty()) {
-      const WalRecord &Prev = Out.Recs.back();
-      // Per-shard order is strict: LSN non-decreasing, and within one
-      // LSN (a multi-record transaction) the index strictly increases.
-      // A duplicated tail repeats (Lsn, Index) and fails here.
-      if (Rec.Lsn < Prev.Lsn ||
-          (Rec.Lsn == Prev.Lsn && Rec.index() <= Prev.index())) {
-        Out.Torn = true;
-        break;
-      }
-    }
-    // Injected recovery fault: abandon the rest of this shard's log as
-    // if the scan hit a torn record (kill mode turns this into a crash
-    // during recovery — double-crash testing).
-    if (faultPoint(FaultSite::RecoveryReplay)) {
-      faultSpin(FaultInjector::arg(FaultSite::RecoveryReplay));
-      Out.ReplayFaultStop = true;
-      break;
-    }
-    Out.Recs.push_back(Rec);
-    Out.ValidBytes += sizeof(Rec);
-  }
-  // Anything read past ValidBytes (including a trailing partial record
-  // fread consumed) does not count as file content to keep.
-  std::fseek(F, 0, SEEK_END);
-  Out.FileBytes = uint64_t(std::ftell(F));
-  std::fclose(F);
-}
-
-} // namespace
-
 RecoveryStats Wal::recover(Store &S) {
   assert(!Started && "recover must run before start()");
-  assert(S.shards() == Cfg.Shards && "wal/store shard mismatch");
   Stopwatch Timer;
   RecoveryStats Out;
   // Phase 0: load the newest *valid* checkpoint in the directory and
   // apply its image — the bounded-recovery baseline. A corrupt newest
-  // checkpoint falls back to the older retained one (whose WAL suffix
+  // checkpoint falls back to the older retained one (whose log suffix
   // the two-generation retention rule kept on disk), and to empty when
-  // none validates; the WAL merge below then simply replays from
-  // further back. Erased keys arrive as Tombstone entries and must
-  // override whatever baseline the caller prepopulated.
+  // none validates; the scan below then simply replays from further
+  // back. Erased keys arrive as Tombstone entries and must override
+  // whatever baseline the caller prepopulated.
   ckpt::CheckpointImage Img;
   ckpt::LoadResult Lr = ckpt::loadNewestValid(Cfg.Dir, Img);
   Out.CheckpointLsn = Img.Lsn;
@@ -659,186 +576,164 @@ RecoveryStats Wal::recover(Store &S) {
       }
     }
     Out.CheckpointEntries = Img.Entries.size();
-    Out.CutLsn = Img.Lsn; // An empty WAL suffix still recovers to here.
   }
-  std::vector<ShardScan> Scans(Cfg.Shards);
-  // Phase 1: shard-parallel validated scans. One thread per shard would
-  // oversubscribe a small box for no gain; cap at hardware concurrency.
+  // Phase 1: one validated scan of the segments in name order, i.e. of
+  // the log in commit order. It stops at the first record that is torn
+  // (short, or failing its checksum — never replayed) or breaks
+  // (Lsn, Index) order (a duplicated tail), at an LSN hole, and at a
+  // group member out of place; the group the stop or the end of the log
+  // leaves open is dropped whole. A hole is a lost group, because logged
+  // LSNs are contiguous over the log's whole history (see Wal.h), so
+  // contiguity is demanded from LSN 2, the log's fixed origin — or from
+  // the barrier + 1 when a checkpoint loaded: records at or below it are
+  // in the image and may legitimately linger (a crash between checkpoint
+  // publication and truncation), so they are order-checked and kept but
+  // not replayed.
+  const std::vector<uint64_t> Segs = listSegments(Cfg.Dir);
+  std::vector<WalRecord> Recs; // The replay set, in commit order.
+  size_t Complete = 0;         // Recs' prefix of complete groups.
+  uint64_t Cut = Img.Lsn;      // Highest LSN recovered.
+  uint32_t GroupHave = 0;      // Members of the open group read so far.
+  // The kept log ends in segment KeepSegs - 1, after KeepBytes bytes
+  // (KeepSegs == 0: nothing is kept).
+  size_t KeepSegs = 0;
+  uint64_t KeepBytes = 0;
+  WalRecord Prev{};
+  std::vector<WalRecord> Chunk(4096);
+  bool Stop = false;
+  for (size_t I = 0; I < Segs.size() && !Stop; ++I) {
+    const std::string Path = segmentFile(Cfg.Dir, Segs[I]);
+    FILE *F = std::fopen(Path.c_str(), "rb");
+    if (!F)
+      ioFatal("open", Path); // Never guess what an unread segment held.
+    uint64_t Off = 0;
+    size_t N;
+    while (!Stop && (N = std::fread(Chunk.data(), sizeof(WalRecord),
+                                    Chunk.size(), F)) > 0) {
+      for (size_t J = 0; J < N; ++J) {
+        const WalRecord &R = Chunk[J];
+        if (R.Check != R.checksum() || R.Lsn < Prev.Lsn ||
+            (R.Lsn == Prev.Lsn && R.index() <= Prev.index())) {
+          ++Out.TornRecords; // Bit-flip, zero-fill or duplicate.
+          Stop = true;
+          break;
+        }
+        // Injected recovery fault: abandon the rest of the log as if the
+        // scan hit a torn record (kill mode turns this into a crash
+        // during recovery — double-crash testing).
+        if (faultPoint(FaultSite::RecoveryReplay)) {
+          faultSpin(FaultInjector::arg(FaultSite::RecoveryReplay));
+          Stop = true;
+          break;
+        }
+        ++Out.RecordsScanned;
+        Off += sizeof(WalRecord);
+        if (R.Lsn <= Img.Lsn) {
+          Prev = R;
+          KeepSegs = I + 1;
+          KeepBytes = Off;
+          continue;
+        }
+        // A group's members are indices 0..span-1 at one LSN, and a new
+        // group starts at exactly the next LSN.
+        const bool InPlace =
+            R.index() == GroupHave &&
+            (GroupHave == 0
+                 ? R.Lsn == std::max<uint64_t>(Cut, 1) + 1
+                 : R.Lsn == Prev.Lsn && R.span() == Prev.span());
+        Prev = R;
+        if (!InPlace) {
+          Stop = true;
+          break;
+        }
+        Recs.push_back(R);
+        if (++GroupHave == R.span()) {
+          GroupHave = 0;
+          Cut = R.Lsn;
+          Complete = Recs.size();
+          ++Out.TxnsReplayed;
+          KeepSegs = I + 1;
+          KeepBytes = Off;
+        }
+      }
+    }
+    struct stat St {};
+    if (!Stop &&
+        (::fstat(::fileno(F), &St) != 0 || uint64_t(St.st_size) != Off)) {
+      ++Out.TornRecords; // A record cut mid-write.
+      Stop = true;
+    }
+    std::fclose(F);
+  }
+  Recs.resize(Complete);
+  Out.CutLsn = Cut;
+  // Phase 2: replay of the prefix, fanned out by store shard. A key's
+  // records all land in its shard's worker in commit order; records of
+  // different shards commute.
   {
-    unsigned NumWorkers = std::max(1u, std::min<unsigned>(
-        std::thread::hardware_concurrency(), Cfg.Shards));
-    std::atomic<uint32_t> Next{0};
+    const unsigned NumWorkers = std::max(
+        1u, std::min<unsigned>(std::thread::hardware_concurrency(),
+                               S.shards()));
+    std::atomic<uint64_t> Failures{0};
     std::vector<std::thread> Workers;
     for (unsigned W = 0; W < NumWorkers; ++W)
-      Workers.emplace_back([&] {
-        for (;;) {
-          uint32_t Shard = Next.fetch_add(1, std::memory_order_relaxed);
-          if (Shard >= Cfg.Shards)
-            return;
-          scanShard(shardFile(Shard), Scans[Shard]);
-        }
+      Workers.emplace_back([&, W] {
+        uint64_t Failed = 0;
+        for (const WalRecord &R : Recs)
+          if (S.shardOf(R.Key) % NumWorkers == W)
+            Failed += !(R.op() == WalOp::Put ? S.insert(R.Key, R.Val)
+                                             : S.erase(R.Key));
+        Failures.fetch_add(Failed, std::memory_order_relaxed);
       });
-    for (auto &W : Workers)
-      W.join();
+    for (std::thread &T : Workers)
+      T.join();
+    Out.RecordsReplayed = Recs.size();
+    Out.ApplyFailures += Failures.load(std::memory_order_relaxed);
   }
-  for (const ShardScan &Sc : Scans) {
-    Out.RecordsScanned += Sc.Recs.size();
-    if (Sc.Torn)
-      ++Out.TornRecords;
-  }
-  // Phase 2: cross-shard merge by LSN. A transaction's group is complete
-  // iff its record count equals the span every record carries; the first
-  // incomplete group cuts the global replay — records above it are a
-  // suffix the crash made non-atomic, and replaying any of them would
-  // break prefix-of-commit-order semantics.
-  //
-  // Incompleteness alone is not enough, though: a torn shard tail (or a
-  // shard file that is simply behind, the drainer having died before
-  // reaching it) can swallow transactions that lived *wholly* in that
-  // shard. Their LSNs then vanish from the merge entirely — no
-  // incomplete group, just a hole — while later complete groups from
-  // other shards would happily replay past them, silently dropping a
-  // middle transaction. Logged LSNs are contiguous from 2 over the log's
-  // whole history (every logging commit takes the next publish ticket,
-  // start() folds the live ticket counter into BaseLsn so a restart
-  // continues at cut + 1, and truncation only ever drops suffixes), so a
-  // discontinuity IS a lost group: cut there. PrevLsn starts at 1 so the
-  // rule also covers the log's *first* commit — if LSN 2 itself was
-  // swallowed, nothing is a prefix and the replay cuts to empty.
-  uint64_t CutLsn = UINT64_MAX;
-  {
-    std::vector<size_t> Pos(Cfg.Shards, 0);
-    // The hole rule anchors at the checkpoint barrier when one loaded:
-    // records at or below it are already covered by the checkpoint image
-    // and may legitimately linger on disk (a crash between checkpoint
-    // publication and WAL rotation) — skip them, then demand contiguity
-    // from barrier + 1. Without a checkpoint the anchor stays at 1, the
-    // log's fixed origin.
-    uint64_t PrevLsn = std::max<uint64_t>(Img.Lsn, 1);
-    for (uint32_t Sd = 0; Sd < Cfg.Shards; ++Sd) {
-      auto &Recs = Scans[Sd].Recs;
-      size_t &P = Pos[Sd];
-      while (P < Recs.size() && Recs[P].Lsn <= Img.Lsn)
-        ++P;
-    }
-    for (;;) {
-      uint64_t Lsn = UINT64_MAX;
-      for (uint32_t Sd = 0; Sd < Cfg.Shards; ++Sd)
-        if (Pos[Sd] < Scans[Sd].Recs.size())
-          Lsn = std::min(Lsn, Scans[Sd].Recs[Pos[Sd]].Lsn);
-      if (Lsn == UINT64_MAX)
-        break; // All records grouped.
-      if (Lsn != PrevLsn + 1) {
-        CutLsn = PrevLsn; // Hole: a wholly-lost group hides in the gap.
-        break;
-      }
-      PrevLsn = Lsn;
-      uint32_t Count = 0, Span = 0;
-      bool Coherent = true;
-      for (uint32_t Sd = 0; Sd < Cfg.Shards; ++Sd) {
-        auto &Recs = Scans[Sd].Recs;
-        size_t &P = Pos[Sd];
-        while (P < Recs.size() && Recs[P].Lsn == Lsn) {
-          if (Span == 0)
-            Span = Recs[P].span();
-          else if (Recs[P].span() != Span)
-            Coherent = false;
-          ++Count;
-          ++P;
-        }
-      }
-      if (!Coherent || Count != Span) {
-        CutLsn = Lsn - 1; // First incomplete group: cut before it.
-        break;
-      }
-      ++Out.TxnsReplayed;
-      Out.CutLsn = Lsn;
-    }
-  }
-  if (CutLsn != UINT64_MAX)
-    Out.CutLsn = std::min(Out.CutLsn, CutLsn);
-  // Phase 3: shard-parallel replay of the prefix. Records of one shard
-  // are already in commit order; cross-shard interleaving within the
-  // prefix is free (transactions' shard-disjoint records commute, and
-  // same-key records always share a shard).
-  {
-    std::atomic<uint64_t> Replayed{0}, Failures{0};
-    std::atomic<uint32_t> Next{0};
-    unsigned NumWorkers = std::max(1u, std::min<unsigned>(
-        std::thread::hardware_concurrency(), Cfg.Shards));
-    std::vector<std::thread> Workers;
-    const uint64_t Cut = Out.CutLsn;
-    for (unsigned W = 0; W < NumWorkers; ++W)
-      Workers.emplace_back([&] {
-        for (;;) {
-          uint32_t Shard = Next.fetch_add(1, std::memory_order_relaxed);
-          if (Shard >= Cfg.Shards)
-            return;
-          for (const WalRecord &Rec : Scans[Shard].Recs) {
-            if (Rec.Lsn <= Img.Lsn)
-              continue; // Covered by the checkpoint image already.
-            if (Rec.Lsn > Cut)
-              break;
-            bool Ok = Rec.op() == WalOp::Put
-                          ? S.insert(Rec.Key, Rec.Val)
-                          : S.erase(Rec.Key);
-            if (!Ok)
-              Failures.fetch_add(1, std::memory_order_relaxed);
-            Replayed.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    for (auto &W : Workers)
-      W.join();
-    Out.RecordsReplayed = Replayed.load(std::memory_order_relaxed);
-    Out.ApplyFailures = Failures.load(std::memory_order_relaxed);
-  }
-  // Phase 4: truncate every shard file at its replayed prefix — torn
-  // tails and beyond-cut suffixes alike — so the dropped records cannot
-  // resurface in a later recovery (they would re-cut the log there and
-  // orphan everything appended afterwards). The repair must be durable
-  // before any new append can be acked: resize_file alone only reaches
-  // the page cache, and after power loss a resurrected stale suffix
-  // would collide with the reused LSNs of the next generation and make
-  // an acked new-generation group look torn. So fsync each repaired
-  // file, and the directory, before returning.
+  // Phase 3: the repair. Everything past the kept log goes — every later
+  // segment, newest first, then the tail of the segment that holds the
+  // cut — so the dropped records cannot resurface in a later recovery
+  // (they would re-cut the log there and orphan everything appended
+  // afterwards); a crash part-way through leaves a log that recovers to
+  // the same cut. The repair must be durable before any new append can
+  // be acked: after power loss a resurrected stale suffix would collide
+  // with the reused LSNs of the next generation and make an acked
+  // new-generation group look torn. So the truncated segment and the
+  // directory are fsynced before returning, and a repair that fails is
+  // fatal.
   bool Repaired = false;
-  for (uint32_t Sd = 0; Sd < Cfg.Shards; ++Sd) {
-    const ShardScan &Sc = Scans[Sd];
-    uint64_t Keep = 0;
-    for (const WalRecord &Rec : Sc.Recs) {
-      if (Rec.Lsn > Out.CutLsn)
-        break;
-      Keep += sizeof(WalRecord);
-    }
-    if (Keep < Sc.FileBytes) {
-      Out.TruncatedBytes += Sc.FileBytes - Keep;
-      std::error_code Ec;
-      std::filesystem::resize_file(shardFile(Sd), Keep, Ec);
-      // A missing file truncates to nothing by definition (and cannot
-      // be opened below; nothing to make durable either way).
-      int Fd = ::open(shardFile(Sd).c_str(), O_WRONLY);
-      if (Fd >= 0) {
-        if (::fsync(Fd) < 0)
-          ioFatal("fsync", shardFile(Sd));
-        ::close(Fd);
-        Repaired = true;
-      }
+  for (size_t I = Segs.size(); I-- > KeepSegs;) {
+    const std::string Path = segmentFile(Cfg.Dir, Segs[I]);
+    std::error_code Ec;
+    const uint64_t Size = std::filesystem::file_size(Path, Ec);
+    if (::unlink(Path.c_str()) != 0)
+      ioFatal("unlink", Path);
+    Out.TruncatedBytes += Ec ? 0 : Size;
+    Repaired = true;
+  }
+  if (KeepSegs > 0) {
+    const std::string Path = segmentFile(Cfg.Dir, Segs[KeepSegs - 1]);
+    std::error_code Ec;
+    const uint64_t Size = std::filesystem::file_size(Path, Ec);
+    if (!Ec && Size > KeepBytes) {
+      int Fd = ::open(Path.c_str(), O_WRONLY);
+      if (Fd < 0 || ::ftruncate(Fd, off_t(KeepBytes)) != 0)
+        ioFatal("truncate", Path);
+      if (::fsync(Fd) != 0)
+        ioFatal("fsync", Path);
+      ::close(Fd);
+      Out.TruncatedBytes += Size - KeepBytes;
+      Repaired = true;
     }
   }
-  if (Repaired) {
-    int DirFd = ::open(Cfg.Dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (DirFd >= 0) {
-      ::fsync(DirFd);
-      ::close(DirFd);
-    }
-  }
+  if (Repaired && !fsyncDir(Cfg.Dir))
+    ioFatal("directory fsync", Cfg.Dir);
   // Record the durable history's high-water mark; start() folds the live
   // publish-ticket counter into BaseLsn so the next generation's first
   // record lands exactly at cut + 1 — even though the replay transactions
   // above consumed tickets themselves under Config::SnapshotEnabled. An
-  // empty or fully-cut log continues at LSN 2, the fixed origin the
-  // merge's hole rule anchors on.
+  // empty or fully-cut log continues at LSN 2, the fixed origin the hole
+  // rule anchors on.
   LastLsn = std::max<uint64_t>(Out.CutLsn, 1);
   // Reclamation identities must hold on the rebuilt store: every record
   // parked by a replayed erase is accounted for, nothing leaked.

@@ -1,13 +1,13 @@
-//===- kv/Wal.h - SATM-KV durability plane: per-shard redo log -*- C++ -*-===//
+//===- kv/Wal.h - SATM-KV durability plane: segmented redo log -*- C++ -*-===//
 //
 // Part of the SATM project, reproducing Shpeisman et al., PLDI 2007.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The SATM-KV durability plane: a per-shard append-only redo log with
-/// group commit, batched fsync, and shard-parallel crash recovery
-/// (ROADMAP item 1; DESIGN.md §12).
+/// The SATM-KV durability plane: one append-only redo log in commit
+/// order, cut into segment files, with group commit, one fsync per drain
+/// cycle, and crash recovery by a single sequential scan (DESIGN.md §12).
 ///
 /// Ordering. Every logging commit takes a publish ticket, and its redo
 /// records carry LSN = BaseLsn + ticket, so log order is the snapshot
@@ -17,10 +17,10 @@
 /// in-memory log, indexed by its Quiescence slot (single producer, single
 /// consumer, no multi-producer races). The one drain thread reads the
 /// stable frontier, then the log heads, and merges every log's prefix at
-/// or below the frontier's LSN in (Lsn, Index) order into the per-shard
-/// files; records above it stay in their log. Every ticket at or below
-/// the frontier marked itself done after its last append, so the merged
-/// prefix is complete and gap-free: each shard file stays (Lsn, Index)-
+/// or below the frontier's LSN in (Lsn, Index) order into one write to
+/// the open segment; records above it stay in their log. Every ticket at
+/// or below the frontier marked itself done after its last append, so the
+/// merged prefix is complete and gap-free: the log stays (Lsn, Index)-
 /// monotone, exactly what recovery's scan demands. The hand-off is
 /// privatization-shaped (a record passes from the transactional world to
 /// an I/O thread); the release store that bumps a log head is the only
@@ -33,6 +33,19 @@
 /// the records of the ticket just past it, so its log always drains — even
 /// for a group larger than the whole log — and it completes.
 ///
+/// Segments. The log is a sequence of files wal-<first LSN>.log, the
+/// first LSN zero-padded so name order is log order. The drainer starts a
+/// segment at its first write after start() or rollSegment(), naming it
+/// by the first record it holds, and makes the directory entry durable
+/// before writing (a failure seals the log, see below). A roll lands
+/// between drain cycles, and a cycle may have taken only part of the
+/// group just past its cut, so a group can straddle two segments; a
+/// segment's records are therefore all at or below the next segment's
+/// name. The checkpointer rolls just before it pins its epoch, so the
+/// segments before the roll hold nothing newer than the checkpoint, and
+/// truncateBelow() deletes whole segments. Rolls and truncations run on
+/// the drain thread between cycles, which owns every segment fd.
+///
 /// Record format: 40 bytes, five host-endian words —
 ///   [0] Lsn       log sequence number = BaseLsn + publish ticket; all
 ///                 records of one transaction share it
@@ -42,36 +55,31 @@
 ///   [3] Val       (ignored for Erase)
 ///   [4] Check     seeded SplitMix-style mix of words 0..3
 ///
-/// Recovery replays the *maximal durable prefix of the commit order*: a
-/// per-shard scan validates checksums and (Lsn, Index) monotonicity and
-/// truncates the first torn or corrupt record (never replaying it); a
-/// cross-shard merge then cuts the global replay at the first LSN whose
-/// transaction group is incomplete (records ≠ span — a crash between
-/// per-shard file writes) *or* absent entirely (an LSN hole: a torn
-/// shard file can swallow whole transactions that logged only there, and
-/// logged LSNs are contiguous from 2 by construction — every logging
-/// commit takes the next publish ticket, and start() derives BaseLsn
-/// from the live ticket counter so the first logged record continues the
-/// on-disk history at exactly its cut + 1, no matter how many tickets
-/// recovery replay or pre-attach traffic consumed). The merge therefore
-/// also treats a missing *first* LSN (always 2) as a hole. The
-/// beyond-cut suffix is truncated from every shard file — and the
-/// repaired files and directory fsynced — so a later run cannot
-/// resurrect it even across power loss.
+/// Recovery replays the *maximal durable prefix of the commit order*. One
+/// scan reads the segments in name order and stops at the first record
+/// that fails its checksum or the (Lsn, Index) order (never replaying
+/// it), at an LSN hole, or at a group whose members are not exactly
+/// indices 0..span-1; a group the stop or the end of the log leaves open
+/// is dropped whole. Logged LSNs are contiguous by construction — every
+/// logging commit takes the next publish ticket, and start() derives
+/// BaseLsn from the live ticket counter so the first logged record
+/// continues the on-disk history at exactly its cut + 1, no matter how
+/// many tickets recovery replay or pre-attach traffic consumed — so a
+/// hole is a lost group (a lost segment), and the first LSN must be 2.
+/// The repair truncates the segment that holds the cut and deletes every
+/// later one, then fsyncs the file and the directory, so a later run
+/// cannot resurrect the rejected suffix even across power loss.
 ///
 /// Checkpoints (kv/Checkpoint.h; DESIGN.md §14) bound both halves of
 /// that story. recover() first loads the newest *valid* checkpoint in
 /// the directory (falling back to the previous one, then to empty, on
-/// corruption) and replays only WAL records with LSN above the
-/// checkpoint's barrier; truncateBelow() lets the checkpointer rotate
-/// the already-covered log prefix out of the shard files. The merge's
-/// hole rule re-anchors at the checkpoint LSN: contiguity is demanded
-/// from barrier + 1, not from 2.
+/// corruption) and replays only records with LSN above the checkpoint's
+/// barrier; contiguity is then demanded from barrier + 1, not from 2.
 ///
-/// Degraded mode. A failed shard write or fsync (real ENOSPC/EIO, or
-/// the injected log_enospc site) no longer aborts the process: the WAL
-/// seals — DurableLsn freezes at the last honestly-fsynced cut, later
-/// log contents are consumed and discarded (counted in
+/// Degraded mode. A failed segment create, write or fsync (real
+/// ENOSPC/EIO, or the injected log_enospc site) does not abort the
+/// process: the WAL seals — DurableLsn freezes at the last honestly-
+/// fsynced cut, later log contents are consumed and discarded (counted in
 /// WalStats::DroppedRecords), and every waitDurable call for an LSN
 /// beyond the frozen cut returns DurableWait::DurabilityLost instead of
 /// blocking. Reads and async traffic keep flowing; only the sync-ack
@@ -88,6 +96,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -113,6 +122,22 @@ const char *durabilityModeName(DurabilityMode M);
 
 /// Parses a --durability value; returns false on unknown spelling.
 bool parseDurabilityMode(const char *S, DurabilityMode &Out);
+
+/// fsync(2)s directory \p Dir, making the entries created, renamed or
+/// removed in it durable. False (errno set) if it cannot be opened or
+/// synced.
+bool fsyncDir(const std::string &Dir);
+
+/// Path of the file \p Prefix + N + \p Suffix inside \p Dir, N zero-padded
+/// to 20 digits so name order is numeric order (log segments and
+/// checkpoints are named this way).
+std::string numberedFile(const std::string &Dir, const char *Prefix,
+                         uint64_t N, const char *Suffix);
+
+/// The numbers N of the numberedFile names in \p Dir, ascending.
+std::vector<uint64_t> listNumberedFiles(const std::string &Dir,
+                                        const char *Prefix,
+                                        const char *Suffix);
 
 /// Redo operations. Values are stable on-disk format.
 enum class WalOp : uint8_t { Put = 1, Erase = 2 };
@@ -159,21 +184,21 @@ enum class DurableWait : uint8_t {
 
 /// Outcome of Wal::recover.
 struct RecoveryStats {
-  uint64_t RecordsScanned = 0;  ///< Valid records read across all shards.
+  uint64_t RecordsScanned = 0;  ///< Valid records read before the cut.
   uint64_t RecordsReplayed = 0; ///< Records applied (<= scanned: group cut).
   uint64_t TxnsReplayed = 0;    ///< Complete LSN groups applied.
-  uint64_t TornRecords = 0;     ///< Shard-local torn/corrupt tails truncated.
-  uint64_t TruncatedBytes = 0;  ///< Bytes removed from files (torn + cut).
+  uint64_t TornRecords = 0;     ///< Torn or corrupt records (0 or 1).
+  uint64_t TruncatedBytes = 0;  ///< Bytes removed from segments (torn + cut).
   uint64_t ApplyFailures = 0;   ///< Replay ops the store rejected (0 = clean).
   uint64_t CutLsn = 0;          ///< Highest LSN recovered (= new base).
   uint64_t CheckpointLsn = 0;   ///< Barrier of the checkpoint loaded (0: none).
   uint64_t CheckpointEntries = 0;   ///< (key,value) pairs applied from it.
   uint64_t CheckpointsDiscarded = 0; ///< Newer-but-invalid checkpoints skipped.
   bool ReclaimIdentityOk = true; ///< reclaimStats() identities held after.
-  double Millis = 0;            ///< Wall time of scan + merge + replay.
+  double Millis = 0;            ///< Wall time of scan + replay + repair.
 };
 
-/// Per-shard write-ahead redo log. Lifecycle: construct over a directory,
+/// Write-ahead redo log. Lifecycle: construct over a directory,
 /// optionally recover() into a Store, start() the drain thread, attach
 /// to the Store (Store::attachWal) so committing transactions register
 /// publish-window appends, stop() before teardown.
@@ -181,11 +206,13 @@ class Wal {
 public:
   struct Config {
     std::string Dir;            ///< Log directory (created if absent).
-    uint32_t Shards = 16;       ///< Must match the store's shard count.
+    /// Ignored: the log is one stream whatever the store's shard count.
+    /// Kept only because existing callers still assign it.
+    uint32_t Shards = 16;
     /// Per-committer log capacity in records (power of two). A log must
-    /// cover one drain cycle of its committer's appends (a cycle fsyncs
-    /// every dirty shard file); a log holds 40-byte entries and exists
-    /// only for threads that have logged.
+    /// cover one drain cycle of its committer's appends (one write and
+    /// one fsync); a log holds 32-byte entries and exists only for
+    /// threads that have logged.
     uint32_t RingSlots = 16384;
     uint32_t FlushIntervalUs = 1000; ///< Group-commit window (idle bound).
   };
@@ -196,10 +223,11 @@ public:
   Wal(const Wal &) = delete;
   Wal &operator=(const Wal &) = delete;
 
-  /// Scans the shard logs, truncates torn tails and incomplete-group
-  /// suffixes, and replays the maximal complete prefix of the commit
-  /// order into \p S shard-parallel (plain transactional insert/erase —
-  /// call before attaching the Wal, so replay is not re-logged). Verifies
+  /// Scans the segments, cuts the log at its first torn record, LSN hole
+  /// or incomplete group, and replays the maximal complete prefix of the
+  /// commit order into \p S, one thread per group of store shards (plain
+  /// transactional insert/erase — call before attaching the Wal, so
+  /// replay is not re-logged). Repairs the directory to the cut. Verifies
   /// the Store::reclaimStats identities afterward. Must run before
   /// start(); records the cut so start() re-bases post-recovery appends
   /// at exactly cut + 1.
@@ -220,11 +248,11 @@ public:
   /// after its last record is in the log, so a group is never fsync-acked
   /// half-appended. Spins (bounded by drainer progress) when the log is
   /// full.
-  void append(uint32_t Shard, WalOp Op, Word Key, Word Val, uint64_t Ticket,
-              uint32_t Index, uint32_t Count);
+  void append(WalOp Op, Word Key, Word Val, uint64_t Ticket, uint32_t Index,
+              uint32_t Count);
 
-  /// Txn::PublishEntry trampoline: Ctx is the Wal, A packs
-  /// (op << 32 | shard), B is the key, C the value.
+  /// Txn::PublishEntry trampoline: Ctx is the Wal, A is the op, B the
+  /// key, C the value.
   static void publishHook(void *Ctx, uint64_t Ticket, uint32_t Index,
                           uint32_t Count, Word A, Word B, Word C);
 
@@ -259,17 +287,21 @@ public:
   /// commits with ticket <= E, i.e. the records with LSN <= lsnOfTicket(E).
   uint64_t lsnOfTicket(uint64_t Ticket) const { return BaseLsn + Ticket; }
 
-  /// Log compaction: rewrites every shard file keeping only records with
-  /// LSN > \p Barrier, fsyncs the replacements, and re-points the drain
-  /// fds. Callable while the log is live (the checkpointer's thread): the
-  /// bulk copy runs beside the drainer, and only the catch-up on its
-  /// latest appends and the swap hold the shard's file lock. Requires the
-  /// barrier to be durable already — if DurableLsn < Barrier (e.g.
-  /// degraded), the rotation is skipped and 0 is returned. Returns bytes
+  /// Closes the open segment, so the next record drained starts a new
+  /// one. Runs on the drain thread after a drain cycle and returns once
+  /// it has; the checkpointer calls it just before pinning its epoch.
+  /// Callable between start() and stop().
+  void rollSegment();
+
+  /// Log compaction: deletes, oldest first, every closed segment whose
+  /// records all lie at or below \p Barrier. Runs on the drain thread
+  /// between cycles; callable between start() and stop(). Requires the
+  /// barrier to be durable already — if DurableLsn < Barrier or the log
+  /// is degraded, nothing is deleted and 0 is returned. Returns bytes
   /// removed.
   uint64_t truncateBelow(uint64_t Barrier);
 
-  /// Log directory (checkpoint files live alongside the shard logs).
+  /// Log directory (checkpoint files live alongside the segments).
   const std::string &dir() const { return Cfg.Dir; }
 
   /// The LSN of the last append *this thread* performed (0 if none) —
@@ -279,15 +311,18 @@ public:
 
   WalStats stats() const;
 
-  /// Shard log file path (tests and tooling).
-  std::string shardFile(uint32_t Shard) const;
+  /// Path of the segment whose first record has LSN \p FirstLsn.
+  static std::string segmentFile(const std::string &Dir, uint64_t FirstLsn);
+
+  /// First LSNs of every segment in \p Dir, ascending (name-based).
+  static std::vector<uint64_t> listSegments(const std::string &Dir);
 
 private:
-  /// A log slot: a record's first four words plus its shard file. The
-  /// drainer seals it into a WalRecord (adding the checksum) as it copies
-  /// it out, which keeps both the append and the slot short.
+  /// A log slot: a record's first four words. The drainer seals it into
+  /// a WalRecord (adding the checksum) as it copies it out, which keeps
+  /// both the append and the slot short.
   struct LogEntry {
-    uint64_t Lsn, Meta, Key, Val, Shard;
+    uint64_t Lsn, Meta, Key, Val;
   };
 
   /// One committer's log: a single-producer (the owner of one Quiescence
@@ -301,12 +336,11 @@ private:
     alignas(64) std::atomic<uint64_t> Tail{0}; ///< Consumer cursor.
   };
 
-  /// Drain-thread scratch reused across cycles: one write buffer per
-  /// shard, the shards written this cycle, and the merge's state — a
-  /// cursor per log and a min-heap of (head LSN, cursor index).
+  /// Drain-thread scratch reused across cycles: the write buffer and the
+  /// merge's state — a cursor per log and a min-heap of (head LSN, cursor
+  /// index).
   struct DrainScratch {
-    std::vector<std::vector<WalRecord>> ShardBuf;
-    std::vector<uint32_t> Dirty;
+    std::vector<WalRecord> Buf;
     struct Cursor {
       CommitterLog *Log;
       uint64_t Pos; ///< Next entry to take; the log's new tail.
@@ -321,9 +355,20 @@ private:
   CommitterLog &logForThisThread();
   void drainLoop();
   /// One drain cycle: read the stable frontier, merge every log's prefix
-  /// at or below it (plus the lowest undone ticket's records) into the
-  /// shard files, fsync exactly the files written, advance durability.
+  /// at or below it (plus the lowest undone ticket's records), write and
+  /// fsync it, advance durability.
   void drainCycle(DrainScratch &D);
+  /// Appends \p Buf to the open segment, starting one if none is open,
+  /// and fsyncs it; on failure seals the log and returns false. Adds
+  /// the records that did not reach the file to \p Dropped.
+  bool writeSegment(const std::vector<WalRecord> &Buf, uint64_t &Dropped);
+  /// Deletes the closed segments wholly at or below \p Barrier (drain
+  /// thread); returns bytes removed.
+  uint64_t deleteSegmentsBelow(uint64_t Barrier);
+  /// Runs \p Fn on the drain thread between two cycles and waits for it.
+  void betweenCycles(const std::function<void()> &Fn);
+  /// Drain-thread side of betweenCycles: runs the pending request, if any.
+  void serveRequest();
   /// Seals the log after an I/O failure (degraded mode) and wakes every
   /// durability waiter so they observe DurabilityLost. Reads errno.
   void enterDegraded(const char *What, const std::string &Path);
@@ -332,12 +377,10 @@ private:
   /// Per-committer logs indexed by Quiescence slot, each created by its
   /// slot's owner on first append and freed with the Wal.
   std::unique_ptr<std::atomic<CommitterLog *>[]> Logs;
-  std::vector<int> Fds; ///< One O_APPEND fd per shard (drain side only).
-  /// Per-shard file lock: serializes the drainer's write+fsync against
-  /// truncateBelow's rewrite-and-swap of the same shard file. Uncontended
-  /// except during a rotation. unique_ptr because mutexes cannot live in
-  /// a resizable vector directly.
-  std::vector<std::unique_ptr<std::mutex>> FileLocks;
+  /// The open segment's O_APPEND fd and first LSN (drain side only); -1
+  /// until the next write starts a segment.
+  int Fd = -1;
+  uint64_t OpenSegment = 0;
 
   /// Highest LSN of the durable history this log continues: 1 for a
   /// fresh/empty log (so the first record lands at LSN 2), the recovery
@@ -365,6 +408,10 @@ private:
   std::condition_variable DrainCv;   ///< Wakes the drainer early.
   std::condition_variable DurableCv; ///< Wakes waitDurable callers.
   uint32_t SyncWaitersPending = 0;
+  /// The drain-thread request in flight (guarded by WaitMutex); its
+  /// poster waits on RequestCv until the drainer clears it.
+  const std::function<void()> *Request = nullptr;
+  std::condition_variable RequestCv;
 
   std::thread Drainer;
   std::atomic<bool> Stopping{false};

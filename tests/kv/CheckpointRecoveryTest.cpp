@@ -104,7 +104,6 @@ Built buildDir(const std::string &Dir, int Checkpoints) {
 
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S->shards();
   Wal W(WC);
   W.start();
   S->attachWal(&W);
@@ -166,7 +165,6 @@ Recovered recoverDir(const std::string &Dir) {
   prepopulate(*S);
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = NumShards;
   Wal W(WC);
   Recovered R;
   R.Rec = W.recover(*S);
@@ -286,8 +284,8 @@ TEST_F(CheckpointRecoveryTest, MissingCheckpointWithIntactWalFullReplay) {
 }
 
 TEST_F(CheckpointRecoveryTest, CheckpointNewerThanEveryWalRecord) {
-  // Cut one checkpoint, then blow the log away entirely (a barrier ahead
-  // of every surviving record — e.g. the crash hit after an external
+  // Cut one checkpoint, then empty every segment (a barrier ahead of
+  // every surviving record — e.g. the crash hit after an external
   // truncation finished but before new traffic arrived). The image alone
   // must be the recovered state.
   std::string Dir = dir("newer");
@@ -297,7 +295,6 @@ TEST_F(CheckpointRecoveryTest, CheckpointNewerThanEveryWalRecord) {
   prepopulate(*S);
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S->shards();
   std::map<Word, Word> AtCkpt;
   {
     Wal W(WC);
@@ -314,18 +311,18 @@ TEST_F(CheckpointRecoveryTest, CheckpointNewerThanEveryWalRecord) {
     S->attachWal(nullptr);
     W.stop();
   }
-  for (uint32_t Shard = 0; Shard < NumShards; ++Shard) {
-    char Name[32];
-    std::snprintf(Name, sizeof(Name), "/shard-%04u.wal", Shard);
-    std::error_code Ec;
-    fs::resize_file(Dir + Name, 0, Ec); // Empty, not missing.
-  }
+  const std::vector<uint64_t> Segs = Wal::listSegments(Dir);
+  ASSERT_FALSE(Segs.empty());
+  for (uint64_t First : Segs)
+    fs::resize_file(Wal::segmentFile(Dir, First), 0); // Empty, not missing.
 
   Recovered R = recoverDir(Dir);
   EXPECT_EQ(R.State, AtCkpt);
   EXPECT_GT(R.Rec.CheckpointLsn, 0u);
   EXPECT_EQ(R.Rec.RecordsReplayed, 0u);
+  EXPECT_EQ(R.Rec.TornRecords, 0u);
   EXPECT_EQ(R.Rec.CutLsn, R.Rec.CheckpointLsn);
+  EXPECT_TRUE(Wal::listSegments(Dir).empty()) << "empty segments linger";
 }
 
 TEST_F(CheckpointRecoveryTest, CrashBetweenRenameAndTruncationSkipsOverlap) {

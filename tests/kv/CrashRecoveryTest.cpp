@@ -125,7 +125,6 @@ int crashChild(const char *Dir, int MaxOps, uint64_t Seed) {
 
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S.shards();
   WC.FlushIntervalUs = 200; // Short group-commit window: more fsyncs hit.
   Wal W(WC);
   RecoveryStats Rec = W.recover(S); // recovery_replay kills land in here.
@@ -246,7 +245,6 @@ TEST_F(CrashRecoveryTest, SeededKillLoopConservesAndKeepsAckedWrites) {
     ASSERT_TRUE(prepopulate(S));
     Wal::Config WC;
     WC.Dir = Dir;
-    WC.Shards = S.shards();
     Wal W(WC);
     RecoveryStats Rec = W.recover(S);
     EXPECT_EQ(Rec.ApplyFailures, 0u) << "iter " << I << " (" << Spec << ")";

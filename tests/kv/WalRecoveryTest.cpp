@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // The corruption matrix for Wal::recover (DESIGN.md §12): a deterministic
-// single-threaded workload builds a pristine log, each test damages a copy
-// of it (torn tail, bit flip, duplicated record, missing group member,
+// single-threaded workload builds a pristine three-segment log, each test
+// damages a copy of it (torn tail, bit flip, duplicated record, missing
+// group member, lost first commit, lost middle segment, torn end of a
+// closed segment, empty newest segment, group split across segments,
 // empty log) and recovery must land on an exact *prefix of the commit
 // order* — never a mix-and-match. The golden-state method makes that
 // precise: recovering the damaged log must produce bit-identical store
@@ -81,7 +83,9 @@ std::map<Word, Word> dumpState(const Store &S) {
 /// Runs the deterministic logged workload and returns the live end state.
 /// Covers every record shape recovery must handle: single-record inserts
 /// and overwrites, Erase records, multi-record groups (rmwAdd), and a
-/// final wide group guaranteed to span several shard files.
+/// final wide group. Rolls after the inserts and after the rmwAdds leave
+/// three segments: "2" (LSN 2..33), "34" (34..41, two records each) and
+/// "42" (42..44, then the 8-record group at 45).
 std::map<Word, Word> buildLog(const std::string &Dir) {
   rt::Heap H;
   std::unique_ptr<Store> S;
@@ -90,17 +94,22 @@ std::map<Word, Word> buildLog(const std::string &Dir) {
 
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S->shards();
   Wal W(WC);
   W.start();
   S->attachWal(&W);
+  auto Roll = [&W] {
+    W.waitDurable(Wal::lastAppendedLsn());
+    W.rollSegment();
+  };
 
   for (Word K = BaseKeys; K < 96; ++K)
     EXPECT_TRUE(S->insert(K, K * 10));
+  Roll();
   for (Word R = 0; R < 8; ++R) {
     Word Keys[2] = {R, 32 + R};
     EXPECT_TRUE(S->rmwAdd(Keys, 2, 3));
   }
+  Roll();
   EXPECT_TRUE(S->erase(5));
   EXPECT_TRUE(S->erase(70));
   EXPECT_TRUE(S->put(8, 888));
@@ -127,7 +136,6 @@ Recovered recoverDir(const std::string &Dir) {
   prepopulate(*S);
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S->shards();
   Wal W(WC);
   Recovered R;
   R.Rec = W.recover(*S);
@@ -140,7 +148,7 @@ void copyDir(const std::string &From, const std::string &To) {
   fs::copy(From, To, fs::copy_options::recursive);
 }
 
-std::vector<WalRecord> readShard(const std::string &Path) {
+std::vector<WalRecord> readSegment(const std::string &Path) {
   std::vector<WalRecord> Out;
   std::ifstream In(Path, std::ios::binary);
   WalRecord R;
@@ -149,31 +157,20 @@ std::vector<WalRecord> readShard(const std::string &Path) {
   return Out;
 }
 
-/// Paths of the shard files under \p Dir, largest first.
-std::vector<std::string> shardFilesBySize(const std::string &Dir) {
-  std::vector<std::string> Files;
-  for (uint32_t Sd = 0; Sd < NumShards; ++Sd) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "/shard-%04u.wal", Sd);
-    std::string P = Dir + Buf;
-    if (fs::exists(P))
-      Files.push_back(P);
-  }
-  std::sort(Files.begin(), Files.end(), [](const auto &A, const auto &B) {
-    return fs::file_size(A) > fs::file_size(B);
-  });
-  return Files;
+void writeSegment(const std::string &Path, const std::vector<WalRecord> &Recs,
+                  std::ios::openmode Mode = std::ios::trunc) {
+  std::ofstream Out(Path, std::ios::binary | Mode);
+  for (const WalRecord &R : Recs)
+    Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
 }
 
 /// The manual truncation recovery must be equivalent to: keep only records
-/// with Lsn <= Cut in every shard file.
+/// with Lsn <= Cut in every segment.
 void truncateToLsn(const std::string &Dir, uint64_t Cut) {
-  for (const std::string &P : shardFilesBySize(Dir)) {
-    std::vector<WalRecord> Recs = readShard(P);
-    std::ofstream Out(P, std::ios::binary | std::ios::trunc);
-    for (const WalRecord &R : Recs)
-      if (R.Lsn <= Cut)
-        Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
+  for (uint64_t First : Wal::listSegments(Dir)) {
+    std::vector<WalRecord> Recs = readSegment(Wal::segmentFile(Dir, First));
+    std::erase_if(Recs, [Cut](const WalRecord &R) { return R.Lsn > Cut; });
+    writeSegment(Wal::segmentFile(Dir, First), Recs);
   }
 }
 
@@ -194,6 +191,16 @@ void expectPrefixSemantics(const std::string &Pristine,
   fs::remove_all(Ref);
 }
 
+/// A second recovery of a repaired directory is clean and lands on the
+/// same cut and state (recover . recover == recover).
+void expectRepairIsFinal(const std::string &Dir, const Recovered &First) {
+  Recovered Again = recoverDir(Dir);
+  EXPECT_EQ(Again.Rec.TornRecords, 0u);
+  EXPECT_EQ(Again.Rec.TruncatedBytes, 0u);
+  EXPECT_EQ(Again.Rec.CutLsn, First.Rec.CutLsn);
+  EXPECT_EQ(Again.State, First.State);
+}
+
 class WalRecoveryTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -203,6 +210,7 @@ protected:
     Pristine = scratchDir("pristine");
     LiveState = buildLog(Pristine);
     ASSERT_FALSE(LiveState.empty());
+    ASSERT_EQ(Wal::listSegments(Pristine), (std::vector<uint64_t>{2, 34, 42}));
   }
   void TearDown() override {
     fs::remove_all(Pristine);
@@ -222,6 +230,9 @@ protected:
   std::map<Word, Word> LiveState;
 };
 
+/// LSN of the final 8-record group, the newest segment's last record.
+constexpr uint64_t FinalLsn = 45;
+
 TEST_F(WalRecoveryTest, UndamagedReplayMatchesLiveStateAndIsIdempotent) {
   const std::string &D = damagedCopy(); // Not damaged: the control row.
   Recovered First = recoverDir(D);
@@ -229,163 +240,181 @@ TEST_F(WalRecoveryTest, UndamagedReplayMatchesLiveStateAndIsIdempotent) {
   EXPECT_EQ(First.Rec.TornRecords, 0u);
   EXPECT_EQ(First.Rec.ApplyFailures, 0u);
   EXPECT_TRUE(First.Rec.ReclaimIdentityOk);
-  EXPECT_GT(First.Rec.TxnsReplayed, 0u);
+  EXPECT_EQ(First.Rec.TxnsReplayed, FinalLsn - 1);
+  EXPECT_EQ(First.Rec.CutLsn, FinalLsn);
   EXPECT_EQ(First.Rec.RecordsReplayed, First.Rec.RecordsScanned);
 
   // Recovery repaired nothing, so running it again is a no-op replay of
   // the same prefix.
-  Recovered Second = recoverDir(D);
-  EXPECT_EQ(Second.State, First.State);
-  EXPECT_EQ(Second.Rec.CutLsn, First.Rec.CutLsn);
-  EXPECT_EQ(Second.Rec.RecordsReplayed, First.Rec.RecordsReplayed);
-  EXPECT_EQ(Second.Rec.TornRecords, 0u);
+  EXPECT_EQ(First.Rec.TruncatedBytes, 0u);
+  expectRepairIsFinal(D, First);
 }
 
 TEST_F(WalRecoveryTest, TruncatedTailRecordIsNeverReplayed) {
   const std::string &D = damagedCopy();
-  std::vector<std::string> Files = shardFilesBySize(D);
-  ASSERT_FALSE(Files.empty());
-  // Tear the largest file mid-record: 13 bytes short of a full tail.
-  uint64_t Sz = fs::file_size(Files[0]);
-  ASSERT_GT(Sz, 13u);
-  fs::resize_file(Files[0], Sz - 13);
+  // Tear the newest segment mid-record: 13 bytes short of a full tail.
+  const std::string Seg = Wal::segmentFile(D, 42);
+  fs::resize_file(Seg, fs::file_size(Seg) - 13);
 
   Recovered R = recoverDir(D);
-  EXPECT_GE(R.Rec.TornRecords, 1u);
+  EXPECT_EQ(R.Rec.TornRecords, 1u);
+  EXPECT_EQ(R.Rec.CutLsn, FinalLsn - 1) << "the torn group is dropped whole";
   EXPECT_GE(R.Rec.TruncatedBytes, sizeof(WalRecord) - 13);
   expectPrefixSemantics(Pristine, R, "torn-tail");
-
-  // The repair is complete: a second recovery sees a clean log.
-  Recovered Again = recoverDir(D);
-  EXPECT_EQ(Again.Rec.TornRecords, 0u);
-  EXPECT_EQ(Again.State, R.State);
+  expectRepairIsFinal(D, R);
 }
 
-TEST_F(WalRecoveryTest, BitFlippedChecksumCutsTheShardThere) {
+TEST_F(WalRecoveryTest, BitFlippedChecksumCutsTheLogThere) {
   const std::string &D = damagedCopy();
-  std::vector<std::string> Files = shardFilesBySize(D);
-  ASSERT_FALSE(Files.empty());
-  std::vector<WalRecord> Recs = readShard(Files[0]);
-  ASSERT_GE(Recs.size(), 3u) << "need a mid-file record to damage";
-  size_t Victim = Recs.size() / 2;
-  Recs[Victim].Key ^= 1ull << 21; // Checksum now mismatches.
-  {
-    std::ofstream Out(Files[0], std::ios::binary | std::ios::trunc);
-    for (const WalRecord &R : Recs)
-      Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
-  }
+  std::vector<WalRecord> Recs = readSegment(Wal::segmentFile(D, 2));
+  ASSERT_EQ(Recs.size(), 32u);
+  Recs[16].Key ^= 1ull << 21; // LSN 18's checksum now mismatches.
+  writeSegment(Wal::segmentFile(D, 2), Recs);
 
   Recovered R = recoverDir(D);
-  // The flip kills the record and the shard's entire suffix behind it.
-  EXPECT_GE(R.Rec.TornRecords, 1u);
-  EXPECT_LT(R.Rec.CutLsn, Recs.back().Lsn);
+  // The flip kills the record and the log's entire suffix behind it,
+  // later segments included.
+  EXPECT_EQ(R.Rec.TornRecords, 1u);
+  EXPECT_EQ(R.Rec.CutLsn, 17u);
+  EXPECT_EQ(Wal::listSegments(D), std::vector<uint64_t>{2});
   expectPrefixSemantics(Pristine, R, "bit-flip");
+  expectRepairIsFinal(D, R);
 }
 
 TEST_F(WalRecoveryTest, DuplicatedTailRecordIsRejectedNotReplayedTwice) {
   const std::string &D = damagedCopy();
-  std::vector<std::string> Files = shardFilesBySize(D);
-  ASSERT_FALSE(Files.empty());
-  std::vector<WalRecord> Recs = readShard(Files[0]);
+  std::vector<WalRecord> Recs = readSegment(Wal::segmentFile(D, 42));
   ASSERT_FALSE(Recs.empty());
-  {
-    // A re-sent tail: checksum-valid, but (Lsn, Index) does not advance.
-    std::ofstream Out(Files[0], std::ios::binary | std::ios::app);
-    Out.write(reinterpret_cast<const char *>(&Recs.back()), sizeof(WalRecord));
-  }
+  // A re-sent tail: checksum-valid, but (Lsn, Index) does not advance.
+  writeSegment(Wal::segmentFile(D, 42), {Recs.back()}, std::ios::app);
 
-  Recovered Undamaged = recoverDir(Pristine);
   Recovered R = recoverDir(D);
-  EXPECT_GE(R.Rec.TornRecords, 1u);
+  EXPECT_EQ(R.Rec.TornRecords, 1u);
   // The duplicate is dropped as torn; everything real still replays.
-  EXPECT_EQ(R.Rec.CutLsn, Undamaged.Rec.CutLsn);
-  EXPECT_EQ(R.State, Undamaged.State);
+  EXPECT_EQ(R.Rec.CutLsn, FinalLsn);
+  EXPECT_EQ(R.Rec.TruncatedBytes, sizeof(WalRecord));
   EXPECT_EQ(R.State, LiveState);
+  expectRepairIsFinal(D, R);
 }
 
 TEST_F(WalRecoveryTest, MissingGroupMemberCutsBeforeTheGroup) {
   const std::string &D = damagedCopy();
-  // Find the final transaction group (max LSN); the workload ends with an
-  // 8-key rmwAdd, so its records span several shard files.
-  uint64_t MaxLsn = 0;
-  for (const std::string &P : shardFilesBySize(D))
-    for (const WalRecord &R : readShard(P))
-      MaxLsn = std::max(MaxLsn, R.Lsn);
-  ASSERT_GT(MaxLsn, 0u);
-  std::vector<std::string> Holders;
-  for (const std::string &P : shardFilesBySize(D)) {
-    for (const WalRecord &R : readShard(P))
-      if (R.Lsn == MaxLsn) {
-        Holders.push_back(P);
-        break;
-      }
-  }
-  ASSERT_GE(Holders.size(), 2u) << "final group must span shards";
-  // Drop one shard's share of the group — the log-ahead-of-index shape: a
-  // crash persisted some of the group's files but not this one.
-  {
-    std::vector<WalRecord> Recs = readShard(Holders[0]);
-    std::ofstream Out(Holders[0], std::ios::binary | std::ios::trunc);
-    for (const WalRecord &R : Recs)
-      if (R.Lsn != MaxLsn)
-        Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
-  }
+  // Drop one member from the middle of the final 8-record group.
+  std::vector<WalRecord> Recs = readSegment(Wal::segmentFile(D, 42));
+  ASSERT_EQ(Recs.size(), 11u);
+  ASSERT_EQ(Recs[6].Lsn, FinalLsn);
+  ASSERT_EQ(Recs[6].index(), 3u);
+  Recs.erase(Recs.begin() + 6);
+  writeSegment(Wal::segmentFile(D, 42), Recs);
 
   Recovered R = recoverDir(D);
-  // The group is incomplete, so no part of it may replay — including the
-  // members that *did* survive in other shard files, which recovery must
-  // truncate away (>= one whole record).
-  EXPECT_LT(R.Rec.CutLsn, MaxLsn);
-  EXPECT_GE(R.Rec.TruncatedBytes, sizeof(WalRecord));
+  // The group is incomplete, so no part of it may replay — and recovery
+  // must truncate away the members that *did* survive.
+  EXPECT_EQ(R.Rec.CutLsn, FinalLsn - 1);
+  EXPECT_EQ(R.Rec.TruncatedBytes, 7 * sizeof(WalRecord));
   expectPrefixSemantics(Pristine, R, "missing-member");
-  for (const std::string &P : shardFilesBySize(D))
-    for (const WalRecord &Rec : readShard(P))
-      EXPECT_LT(Rec.Lsn, MaxLsn) << "surviving member not truncated: " << P;
-
-  Recovered Again = recoverDir(D);
-  EXPECT_EQ(Again.Rec.TornRecords, 0u);
-  EXPECT_EQ(Again.State, R.State);
+  for (const WalRecord &Rec : readSegment(Wal::segmentFile(D, 42)))
+    EXPECT_LT(Rec.Lsn, FinalLsn) << "surviving member not truncated";
+  expectRepairIsFinal(D, R);
 }
 
 TEST_F(WalRecoveryTest, CorruptedFirstCommitCutsToEmptyNotAMidLogSuffix) {
   const std::string &D = damagedCopy();
-  // The log's first commit (LSN 2, buildLog's first single-record insert)
-  // lives wholly in one shard file's first record. Find it.
-  std::string Holder;
-  uint64_t MinLsn = UINT64_MAX;
-  for (const std::string &P : shardFilesBySize(D)) {
-    std::vector<WalRecord> Recs = readShard(P);
-    if (!Recs.empty() && Recs.front().Lsn < MinLsn) {
-      MinLsn = Recs.front().Lsn;
-      Holder = P;
-    }
-  }
-  ASSERT_EQ(MinLsn, 2u) << "the retained prefix must start at LSN 2";
-  // Flip a bit in that record: its whole shard file scans to nothing, so
-  // LSN 2 vanishes from the merge while later complete single-shard
-  // groups survive in the other files. Replaying them (LSN 3+) would not
-  // be a prefix of the commit order — the cut must land before the
-  // missing first commit, i.e. replay nothing at all.
-  std::vector<WalRecord> Recs = readShard(Holder);
+  // The log's first commit (LSN 2, buildLog's first single-record
+  // insert) is the first segment's first record. Flip a bit in it: LSN
+  // 3+ are all intact, but replaying them would not be a prefix of the
+  // commit order — the cut must land before the lost first commit, i.e.
+  // replay nothing at all.
+  std::vector<WalRecord> Recs = readSegment(Wal::segmentFile(D, 2));
+  ASSERT_EQ(Recs.front().Lsn, 2u);
   Recs.front().Val ^= 1ull << 13;
-  {
-    std::ofstream Out(Holder, std::ios::binary | std::ios::trunc);
-    for (const WalRecord &R : Recs)
-      Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
-  }
+  writeSegment(Wal::segmentFile(D, 2), Recs);
 
   Recovered R = recoverDir(D);
-  EXPECT_GE(R.Rec.TornRecords, 1u);
+  EXPECT_EQ(R.Rec.TornRecords, 1u);
   EXPECT_EQ(R.Rec.RecordsReplayed, 0u);
   EXPECT_EQ(R.Rec.TxnsReplayed, 0u);
   EXPECT_EQ(R.Rec.CutLsn, 0u);
   expectPrefixSemantics(Pristine, R, "first-commit-lost");
-  // The repair emptied every shard file; a second recovery is a clean
+  // The repair deleted every segment; a second recovery is a clean
   // empty-log pass.
+  EXPECT_TRUE(Wal::listSegments(D).empty());
   Recovered Again = recoverDir(D);
   EXPECT_EQ(Again.Rec.RecordsScanned, 0u);
   EXPECT_EQ(Again.Rec.TornRecords, 0u);
   EXPECT_EQ(Again.State, R.State);
+}
+
+TEST_F(WalRecoveryTest, LostMiddleSegmentCutsAtTheLsnHole) {
+  const std::string &D = damagedCopy();
+  // Every record left is intact, but LSNs 34..41 are gone: replaying the
+  // newest segment would skip eight commits.
+  fs::remove(Wal::segmentFile(D, 34));
+
+  Recovered R = recoverDir(D);
+  EXPECT_EQ(R.Rec.TornRecords, 0u);
+  EXPECT_EQ(R.Rec.CutLsn, 33u);
+  EXPECT_EQ(Wal::listSegments(D), std::vector<uint64_t>{2});
+  expectPrefixSemantics(Pristine, R, "lost-segment");
+  expectRepairIsFinal(D, R);
+}
+
+TEST_F(WalRecoveryTest, TornEndOfAClosedSegmentDeletesEveryLaterSegment) {
+  const std::string &D = damagedCopy();
+  // Tear the last record of the middle segment, the second member of
+  // the rmwAdd group at LSN 41. The newest segment is intact and would
+  // otherwise lie behind the cut: left on disk, it would sit between the
+  // next generation's segments and cut them off at the next recovery.
+  const std::string Seg = Wal::segmentFile(D, 34);
+  fs::resize_file(Seg, fs::file_size(Seg) - 13);
+
+  Recovered R = recoverDir(D);
+  EXPECT_EQ(R.Rec.TornRecords, 1u);
+  EXPECT_EQ(R.Rec.CutLsn, 40u);
+  EXPECT_EQ(Wal::listSegments(D), (std::vector<uint64_t>{2, 34}));
+  EXPECT_EQ(readSegment(Seg).size(), 14u) << "LSN 41's first member stays";
+  expectPrefixSemantics(Pristine, R, "torn-closed-segment");
+  expectRepairIsFinal(D, R);
+}
+
+TEST_F(WalRecoveryTest, EmptyNewestSegmentFromARollRecoversClean) {
+  const std::string &D = damagedCopy();
+  // A crash right after a roll created the next segment, before any
+  // record reached it.
+  writeSegment(Wal::segmentFile(D, FinalLsn + 1), {});
+
+  Recovered R = recoverDir(D);
+  EXPECT_EQ(R.Rec.TornRecords, 0u);
+  EXPECT_EQ(R.Rec.CutLsn, FinalLsn);
+  EXPECT_EQ(R.Rec.RecordsReplayed, R.Rec.RecordsScanned);
+  EXPECT_EQ(R.State, LiveState);
+  expectRepairIsFinal(D, R);
+}
+
+TEST_F(WalRecoveryTest, GroupSplitAcrossSegmentsReplaysWholeOrNotAtAll) {
+  const std::string &D = damagedCopy();
+  // A roll between two drain cycles can split a group: move the final
+  // group's members 4..7 into a segment of their own, named by their LSN.
+  std::vector<WalRecord> Recs = readSegment(Wal::segmentFile(D, 42));
+  ASSERT_EQ(Recs.size(), 11u);
+  ASSERT_EQ(Recs[7].index(), 4u);
+  writeSegment(Wal::segmentFile(D, FinalLsn), {Recs.begin() + 7, Recs.end()});
+  Recs.resize(7);
+  writeSegment(Wal::segmentFile(D, 42), Recs);
+
+  Recovered Whole = recoverDir(D);
+  EXPECT_EQ(Whole.Rec.TornRecords, 0u);
+  EXPECT_EQ(Whole.Rec.CutLsn, FinalLsn);
+  EXPECT_EQ(Whole.State, LiveState);
+  EXPECT_EQ(Whole.Rec.TruncatedBytes, 0u);
+
+  // Lose the second half: the first half must not replay either.
+  fs::remove(Wal::segmentFile(D, FinalLsn));
+  Recovered Cut = recoverDir(D);
+  EXPECT_EQ(Cut.Rec.CutLsn, FinalLsn - 1);
+  EXPECT_EQ(Cut.Rec.TruncatedBytes, 4 * sizeof(WalRecord));
+  expectPrefixSemantics(Pristine, Cut, "split-group");
+  expectRepairIsFinal(D, Cut);
 }
 
 // Regression: under Config::SnapshotEnabled every writing commit consumes
@@ -409,7 +438,6 @@ TEST(WalSnapshotRecoveryTest, RecoverThenLogUnderSnapshotModeStaysContiguous) {
     prepopulate(*S);
     Wal::Config WC;
     WC.Dir = Dir;
-    WC.Shards = S->shards();
     Wal W(WC);
     W.start();
     S->attachWal(&W);
@@ -432,7 +460,6 @@ TEST(WalSnapshotRecoveryTest, RecoverThenLogUnderSnapshotModeStaysContiguous) {
     prepopulate(*S);
     Wal::Config WC;
     WC.Dir = Dir;
-    WC.Shards = S->shards();
     Wal W(WC);
     RecoveryStats Rec = W.recover(*S);
     ASSERT_EQ(Rec.ApplyFailures, 0u);

@@ -10,9 +10,9 @@
 // pipeline and its telemetry, the sync-ack waitDurable contract, the
 // store-side gating that routes every write through the logged
 // transactional path while a Wal is attached, and the drainer's merge of
-// out-of-order per-committer logs into commit-ordered shard files (with
-// and without truncation racing it). Crash and corruption semantics live
-// in WalRecoveryTest / CrashRecoveryTest.
+// out-of-order per-committer logs into one commit-ordered log (with and
+// without checkpoint truncation deleting its segments meanwhile). Crash
+// and corruption semantics live in WalRecoveryTest / CrashRecoveryTest.
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,7 +112,6 @@ TEST(Wal, AppendDrainFsyncAccountsEveryRecord) {
 
   Wal::Config WC;
   WC.Dir = scratchDir("drain");
-  WC.Shards = S.shards();
   Wal W(WC);
   W.start();
   S.attachWal(&W);
@@ -141,15 +140,11 @@ TEST(Wal, AppendDrainFsyncAccountsEveryRecord) {
   S.attachWal(nullptr);
   W.stop();
 
-  // The bytes really are in the shard files, 40-byte aligned.
-  uint64_t OnDisk = 0;
-  for (uint32_t Sd = 0; Sd < WC.Shards; ++Sd) {
-    std::error_code Ec;
-    uint64_t Sz = std::filesystem::file_size(W.shardFile(Sd), Ec);
-    if (!Ec)
-      OnDisk += Sz;
-  }
-  EXPECT_EQ(OnDisk, St.BytesWritten);
+  // The bytes really are in the log: one segment, named by its first
+  // record, LSN 2.
+  EXPECT_EQ(Wal::listSegments(WC.Dir), std::vector<uint64_t>{2});
+  EXPECT_EQ(std::filesystem::file_size(Wal::segmentFile(WC.Dir, 2)),
+            St.BytesWritten);
   std::filesystem::remove_all(WC.Dir);
 }
 
@@ -170,7 +165,6 @@ TEST(Wal, AttachedStoreRefusesRawFastPaths) {
 
   Wal::Config WC;
   WC.Dir = scratchDir("gate");
-  WC.Shards = S.shards();
   Wal W(WC);
   W.start();
   S.attachWal(&W);
@@ -191,8 +185,8 @@ TEST(Wal, AttachedStoreRefusesRawFastPaths) {
   std::filesystem::remove_all(WC.Dir);
 }
 
-/// Every record of one shard file, in file order (no validation).
-std::vector<WalRecord> readShardFile(const std::string &Path) {
+/// Every record of one segment, in file order (no validation).
+std::vector<WalRecord> readSegment(const std::string &Path) {
   std::vector<WalRecord> Out;
   FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
@@ -204,14 +198,16 @@ std::vector<WalRecord> readShardFile(const std::string &Path) {
   return Out;
 }
 
-/// Eight committer threads run multi-shard groups — and one, now and then,
+/// Eight committer threads run multi-key groups — and one, now and then,
 /// a group larger than a whole log — against tiny per-committer logs,
 /// while publish_stall parks committers between ticket and done mark so
 /// commits complete (and append) well out of ticket order. With
-/// \p Checkpointing a ninth thread checkpoints in a loop, so truncateBelow
-/// rewrites shard files under the running drainer. The merged shard files
-/// must be (Lsn, Index)-monotone with contiguous, complete LSN groups, and
-/// recovery must rebuild the live store exactly.
+/// \p Checkpointing a ninth thread checkpoints in a loop, so every cycle
+/// rolls a segment and truncateBelow deletes whole segments under the
+/// running drainer. The segments, read in name order, must be one
+/// (Lsn, Index)-monotone stream with contiguous, complete LSN groups from
+/// at or below the last truncation barrier, and recovery must rebuild
+/// the live store exactly.
 void checkConcurrentCommitters(const char *Name, bool Checkpointing) {
   Config Cfg;
   Cfg.DeaEnabled = true;
@@ -239,7 +235,6 @@ void checkConcurrentCommitters(const char *Name, bool Checkpointing) {
 
   Wal::Config WC;
   WC.Dir = scratchDir(Name);
-  WC.Shards = S->shards();
   WC.RingSlots = 8; // Tiny logs: constant backpressure.
   WC.FlushIntervalUs = 100;
   Wal W(WC);
@@ -285,35 +280,48 @@ void checkConcurrentCommitters(const char *Name, bool Checkpointing) {
 
   std::map<uint64_t, std::pair<uint32_t, uint32_t>> Groups; // Lsn -> n, span
   uint64_t Total = 0;
-  for (uint32_t Sd = 0; Sd < WC.Shards; ++Sd) {
-    const std::vector<WalRecord> Recs = readShardFile(W.shardFile(Sd));
-    for (size_t I = 0; I < Recs.size(); ++I) {
-      ASSERT_EQ(Recs[I].Check, Recs[I].checksum()) << "shard " << Sd;
-      if (I > 0) {
-        const WalRecord &P = Recs[I - 1];
-        ASSERT_TRUE(P.Lsn < Recs[I].Lsn ||
-                    (P.Lsn == Recs[I].Lsn && P.index() < Recs[I].index()))
-            << "shard " << Sd << " out of order at record " << I;
-      }
-      auto &G = Groups[Recs[I].Lsn];
+  WalRecord P{};
+  const std::vector<uint64_t> Segs = Wal::listSegments(WC.Dir);
+  for (uint64_t Seg : Segs) {
+    const std::vector<WalRecord> Recs =
+        readSegment(Wal::segmentFile(WC.Dir, Seg));
+    ASSERT_FALSE(Recs.empty()) << "segment " << Seg;
+    EXPECT_EQ(Recs.front().Lsn, Seg) << "a segment is named by its first LSN";
+    for (const WalRecord &R : Recs) {
+      ASSERT_EQ(R.Check, R.checksum()) << "segment " << Seg;
+      ASSERT_TRUE(P.Lsn < R.Lsn || (P.Lsn == R.Lsn && P.index() < R.index()))
+          << "segment " << Seg << " out of order at LSN " << R.Lsn;
+      P = R;
+      auto &G = Groups[R.Lsn];
       ++G.first;
-      G.second = Recs[I].span();
+      G.second = R.span();
     }
     Total += Recs.size();
   }
   ASSERT_FALSE(Groups.empty());
+  // Truncation deletes whole segments, oldest first, whose records all
+  // lie at or below its barrier. A roll may split a group, so the first
+  // group left may have lost its head — but only at or below the last
+  // barrier; every record above it must remain.
+  uint64_t LastBarrier = 0;
   if (Checkpointing) {
-    EXPECT_GT(TruncatedBytes, 0u) << "no rotation ran under the drainer";
+    const std::vector<uint64_t> Ckpts = ckpt::listCheckpoints(WC.Dir);
+    ASSERT_GE(Ckpts.size(), 2u);
+    LastBarrier = Ckpts[Ckpts.size() - 2];
+    EXPECT_GT(TruncatedBytes, 0u) << "no segment was deleted";
+    EXPECT_GT(Segs.front(), 2u) << "the first segment outlived truncation";
+    EXPECT_LE(Groups.begin()->first, LastBarrier + 1)
+        << "records above the last barrier were deleted";
   } else {
     EXPECT_EQ(Total, St.RecordsAppended);
     EXPECT_EQ(Groups.begin()->first, 2u) << "a fresh log starts at LSN 2";
   }
-  // Truncation only ever drops a whole prefix of groups, so whatever
-  // remains is contiguous and complete.
   uint64_t Expect = Groups.begin()->first;
   for (const auto &[Lsn, G] : Groups) {
     EXPECT_EQ(Lsn, Expect++) << "LSN hole";
-    EXPECT_EQ(G.first, G.second) << "incomplete group at LSN " << Lsn;
+    if (Lsn != Groups.begin()->first || Lsn > LastBarrier) {
+      EXPECT_EQ(G.first, G.second) << "incomplete group at LSN " << Lsn;
+    }
   }
 
   // Recovery rebuilds the live store exactly.
@@ -336,7 +344,7 @@ void checkConcurrentCommitters(const char *Name, bool Checkpointing) {
   std::filesystem::remove_all(WC.Dir);
 }
 
-TEST(Wal, ConcurrentCommittersMergeIntoCommitOrderedShardFiles) {
+TEST(Wal, ConcurrentCommittersMergeIntoOneCommitOrderedLog) {
   checkConcurrentCommitters("merge", /*Checkpointing=*/false);
 }
 

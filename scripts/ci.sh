@@ -121,16 +121,20 @@ ENOSPC_SERVER_PID=$!
 wait "$ENOSPC_SERVER_PID"
 scripts/check_bench_schema.sh --require-net build/BENCH_net_enospc.json
 
-echo "== satmbench lane (benchmark self-tests + short durable and wire runs)"
+echo "== satmbench lane (benchmark self-tests + short durable, wire and big-heap runs)"
 # The benchmark builds its own copy of src/ into .bench_build/. The short
 # runs' output checks (every read returns its own key's value; the image
 # recovered from the log equals the live store) are an end-to-end oracle
 # for the snapshot plane and the checkpointer; a failed check exits 1.
 # The wire_zipf run adds the log under the epoll server: every request id
 # answered exactly once, and the recovered image equal to the live store.
+# kv_nt_bigset is the only workload whose heap reaches the huge-page
+# chunks (rt::Heap): every GET over its 4 Mi keys must hit, and the
+# recovered image must equal the live store.
 python3 satmbench/tests/run_tests.py
 python3 satmbench/run.py --workload kv_durable_mix --seconds 2 --trace 0
 python3 satmbench/run.py --workload wire_zipf --seconds 2 --trace 0
+python3 satmbench/run.py --workload kv_nt_bigset --seconds 2 --trace 0
 
 echo "== ThreadSanitizer build"
 cmake -B build-tsan -S . -DSATM_SANITIZE=thread

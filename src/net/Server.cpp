@@ -52,6 +52,7 @@ struct Server::Conn {
   size_t OutOff = 0;        ///< Flushed prefix of Out.
   bool Ready = false;       ///< On the I/O thread's ready list.
   bool ReadPaused = false;  ///< Out backlog past OutHighWater.
+  bool ReadEof = false;     ///< Peer half-closed: close once Out is flushed.
 };
 
 /// Per-I/O-thread state. Conns holds the owning references; epoll events
@@ -355,7 +356,7 @@ void Server::registerIncoming(IoState &IoSt) {
 }
 
 void Server::markReady(IoState &IoSt, const ConnPtr &Cn) {
-  if (Cn->Ready)
+  if (Cn->Ready || Cn->ReadEof)
     return;
   Cn->Ready = true;
   IoSt.Ready.push_back(Cn);
@@ -385,8 +386,13 @@ void Server::readOnce(IoState &IoSt, const ConnPtr &Cn) {
   while (N < 0 && errno == EINTR);
   if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
     return; // Drained: the next EPOLLIN edge makes it ready again.
-  if (N <= 0) { // Orderly peer close, or a socket error.
+  if (N < 0) { // A socket error.
     closeConn(IoSt, Cn);
+    return;
+  }
+  if (N == 0) { // Orderly (half-)close: answer what was read, then close.
+    Cn->ReadEof = true;
+    flushConn(IoSt, Cn);
     return;
   }
 
@@ -451,6 +457,10 @@ void Server::flushConn(IoState &IoSt, const ConnPtr &Cn) {
     return;
   }
   if (Cn->OutOff == Cn->Out.size()) {
+    if (Cn->ReadEof) {
+      closeConn(IoSt, Cn); // Every response read so far is out.
+      return;
+    }
     Cn->Out.clear();
     Cn->OutOff = 0;
   } else if (Cn->OutOff > 64 * 1024) {

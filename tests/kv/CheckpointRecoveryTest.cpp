@@ -122,8 +122,9 @@ Built buildDir(const std::string &Dir, int Checkpoints) {
   EXPECT_TRUE(S->erase(70));
   EXPECT_TRUE(S->put(8, 888));
   W.waitDurable(Wal::lastAppendedLsn());
-  if (Checkpoints >= 1)
+  if (Checkpoints >= 1) {
     EXPECT_TRUE(CP.runOnce());
+  }
 
   // Phase B: touch old keys, new keys, and re-erase territory.
   for (Word K = 96; K < 128; ++K)
@@ -136,8 +137,9 @@ Built buildDir(const std::string &Dir, int Checkpoints) {
   }
   W.waitDurable(Wal::lastAppendedLsn());
   B.AtCkpt2 = dumpState(*S);
-  if (Checkpoints >= 2)
+  if (Checkpoints >= 2) {
     EXPECT_TRUE(CP.runOnce()); // Publishes gen 2, compacts below gen 1.
+  }
 
   // Phase C: the suffix recovery must replay on top of checkpoint 2.
   for (Word K = 128; K < 144; ++K)

@@ -213,8 +213,9 @@ TEST(KvStress, MixedPlanesOnHotKeys) {
         }
         case 1: { // Barrier-plane GET: never a torn/uncommitted value.
           Word V = 0;
-          if (S.get(K, V))
+          if (S.get(K, V)) {
             ASSERT_TRUE(Plausible(V)) << "torn value " << V;
+          }
           break;
         }
         case 2: { // Transactional CAS.
@@ -224,8 +225,9 @@ TEST(KvStress, MixedPlanesOnHotKeys) {
           break;
         }
         default: { // Erase, then transactional re-insert.
-          if (S.erase(K))
+          if (S.erase(K)) {
             ASSERT_TRUE(S.insert(K, 1));
+          }
           break;
         }
         }
@@ -238,8 +240,9 @@ TEST(KvStress, MixedPlanesOnHotKeys) {
   EXPECT_EQ(S.size(), HotKeys);
   for (Word K = 0; K < HotKeys; ++K) {
     Word V = 0;
-    if (S.get(K, V))
+    if (S.get(K, V)) {
       EXPECT_TRUE(Plausible(V)) << "terminal value " << V;
+    }
   }
 }
 

@@ -8,7 +8,8 @@
 // loopback with net::Client and raw sockets: per-opcode correctness,
 // per-read batching (a pipelined burst in one send() is one read, so
 // batchAvg must exceed 1), the retry budget shedding an abort storm,
-// TCP push-back on a client that never reads, read fairness against a
+// TCP push-back on a client that never reads, every response reaching a
+// peer that half-closes after pipelining, read fairness against a
 // firehose connection, peers resetting mid-flush, framing-damage
 // connection close, the net_accept / net_read / net_write fault sites,
 // and the start/connect/kill/join loop that certifies stop() is clean
@@ -28,6 +29,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -95,9 +97,15 @@ bool sendAll(int Fd, const std::vector<uint8_t> &Buf) {
 }
 
 /// A plain blocking loopback socket, for peers that must misbehave in
-/// ways net::Client never does. Returns -1 on failure.
-int dialLoopback(uint16_t Port) {
+/// ways net::Client never does. \p RcvBuf > 0 sets SO_RCVBUF and
+/// \p Mss > 0 the MSS the peer advertises, both before the handshake.
+/// Returns -1 on failure.
+int dialLoopback(uint16_t Port, int RcvBuf = 0, int Mss = 0) {
   int Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (Fd >= 0 && RcvBuf > 0)
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &RcvBuf, sizeof(RcvBuf));
+  if (Fd >= 0 && Mss > 0)
+    ::setsockopt(Fd, IPPROTO_TCP, TCP_MAXSEG, &Mss, sizeof(Mss));
   sockaddr_in Addr{};
   Addr.sin_family = AF_INET;
   Addr.sin_port = htons(Port);
@@ -353,6 +361,79 @@ TEST_F(ServerTest, ClientThatNeverReadsMeetsTcpPushBack) {
   Cl.close();
   Sv.stop();
   EXPECT_LE(Sv.stats().OutHighWater, 512u * 1024);
+}
+
+TEST_F(ServerTest, HalfClosedPeerGetsEveryResponse) {
+  kv::Store S(H, storeShape());
+  Server Sv(S, serverShape());
+  std::string Err;
+  ASSERT_TRUE(Sv.start(&Err)) << Err;
+
+  // Each peer pipelines N 64-key MGETs, half-closes, and reads nothing
+  // until the server has decoded them all (or paused it), so the server
+  // meets EOF with responses that did not fit the socket buffers still
+  // queued. With a 4 KiB receive buffer, where that backlog falls depends
+  // on the kernel's send-buffer tuning; sweeping N finds the lengths
+  // whose backlog at EOF is under the read-pause mark. The sweep ends
+  // after the first length the server pauses, since every longer burst
+  // pauses too. The peer advertises an Ethernet-sized MSS: the server's
+  // send buffer then autotunes to tens of KiB, as on a real network path,
+  // instead of the megabytes loopback's 64 KiB MSS allows, so the sweep
+  // reaches those lengths within a few hundred frames.
+  constexpr int MaxFrames = 12000;
+  const std::vector<uint8_t> Burst = encodeBurst(wideMgetFrame(), MaxFrames);
+  const size_t FrameLen = Burst.size() / MaxFrames;
+  for (int Frames = 250; Frames <= MaxFrames; Frames += 250) {
+    int Fd = dialLoopback(Sv.port(), /*RcvBuf=*/4096, /*Mss=*/1460);
+    ASSERT_GE(Fd, 0) << std::strerror(errno);
+    setRecvTimeout(Fd, 10);
+    const uint64_t Target = Sv.stats().Requests + uint64_t(Frames);
+    const std::vector<uint8_t> Req(
+        Burst.begin(), Burst.begin() + std::ptrdiff_t(Frames * FrameLen));
+    std::thread Writer([&] {
+      EXPECT_TRUE(sendAll(Fd, Req)) << Frames << " frames";
+      ::shutdown(Fd, SHUT_WR);
+    });
+    // Wait until every frame is decoded or decoding stalls for 20 ms.
+    uint64_t Seen = 0;
+    auto Moved = SteadyClock::now();
+    for (;;) {
+      uint64_t Now = Sv.stats().Requests;
+      if (Now >= Target ||
+          SteadyClock::now() - Moved > std::chrono::milliseconds(20))
+        break;
+      if (Now != Seen) {
+        Seen = Now;
+        Moved = SteadyClock::now();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const bool Paused = Sv.stats().Requests < Target;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10)); // EOF read.
+
+    FrameDecoder Dec(/*Strict=*/false);
+    uint8_t Buf[64 * 1024];
+    int Got = 0;
+    for (ssize_t R; (R = ::recv(Fd, Buf, sizeof(Buf), 0)) != 0;) {
+      if (R < 0 && errno == EINTR)
+        continue;
+      if (R < 0) {
+        ADD_FAILURE() << Frames << " frames: " << std::strerror(errno);
+        ::shutdown(Fd, SHUT_RDWR); // Unblocks the writer before the join.
+        break;
+      }
+      Dec.feed(Buf, size_t(R));
+      for (Frame F; Dec.next(F); ++Got)
+        EXPECT_EQ(F.Cid, uint64_t(Got) + 1);
+    }
+    Writer.join();
+    ::close(Fd);
+    EXPECT_EQ(Got, Frames) << "responses lost after a half-close";
+    if (Paused)
+      break;
+  }
+  Sv.stop();
+  EXPECT_EQ(Sv.stats().BadFrames, 0u);
 }
 
 TEST_F(ServerTest, FirehoseConnectionCannotStarveItsSibling) {

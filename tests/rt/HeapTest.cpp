@@ -8,7 +8,16 @@
 
 #include "gtest/gtest.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdint>
+#include <fstream>
+#include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -143,6 +152,135 @@ TEST(Heap, BytesAllocatedGrows) {
   size_t Before = H.bytesAllocated();
   H.allocate(&PairType, BirthState::Shared);
   EXPECT_GE(H.bytesAllocated(), Before + Object::allocationSize(2));
+}
+
+constexpr size_t MiB = size_t(1) << 20;
+
+/// The THPeligible flag /proc/self/smaps shows for the mapping holding
+/// \p Addr, or -1 when no mapping or flag is found.
+int thpEligible(const void *Addr) {
+  std::ifstream Smaps("/proc/self/smaps");
+  const uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
+  bool Inside = false;
+  for (std::string Line; std::getline(Smaps, Line);) {
+    uintptr_t Lo = 0, Hi = 0;
+    char Dash = 0;
+    std::istringstream Head(Line);
+    if (Head >> std::hex >> Lo >> Dash >> Hi && Dash == '-') {
+      Inside = Lo <= A && A < Hi;
+      continue;
+    }
+    if (Inside && Line.rfind("THPeligible:", 0) == 0)
+      return std::stoi(Line.substr(12));
+  }
+  return -1;
+}
+
+/// False when /sys/kernel/mm/transparent_hugepage/enabled reads [never]
+/// or is absent.
+bool thpAvailable() {
+  std::ifstream F("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string Mode;
+  return std::getline(F, Mode) && Mode.find("[never]") == std::string::npos;
+}
+
+TEST(Heap, HugeDedicatedChunkIsAlignedAndHugePageEligible) {
+  Heap H;
+  // 9 MiB of slots: past the thread's 1 MiB chunk, so a dedicated chunk.
+  const uint32_t Slots = uint32_t(9 * MiB / sizeof(stm::Word));
+  Object *Big = H.allocateArray(&IntArrayType, Slots, BirthState::Shared);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(Big) % (2 * MiB), 0u);
+  Big->rawStore(Slots - 1, 5);
+  EXPECT_EQ(Big->rawLoad(Slots - 1), 5u);
+  if (thpAvailable()) {
+    EXPECT_EQ(thpEligible(Big), 1) << "mapping of " << Big;
+  }
+}
+
+TEST(Heap, ChunksDoubleAndStartOverInAFreshHeap) {
+  // Tiny chunks make the doubling cheap to watch: every refill shows in
+  // bytesAllocated() as the size of the chunk it mapped.
+  constexpr size_t First = 4096;
+  const uint32_t Slots = 256; // ~2 KiB objects.
+  Heap A(First);
+  std::vector<size_t> Refills;
+  size_t Seen = 0;
+  while (Refills.size() < 6) {
+    A.allocateArray(&IntArrayType, Slots, BirthState::Shared);
+    if (A.bytesAllocated() != Seen) {
+      Refills.push_back(A.bytesAllocated() - Seen);
+      Seen = A.bytesAllocated();
+    }
+  }
+  EXPECT_EQ(Refills, (std::vector<size_t>{First, 2 * First, 4 * First,
+                                          8 * First, 16 * First,
+                                          32 * First}));
+  // The same thread's first refill in another heap is ChunkBytes again.
+  Heap B(First);
+  B.allocate(&PairType, BirthState::Shared);
+  EXPECT_EQ(B.bytesAllocated(), First);
+}
+
+TEST(Heap, DestructorUnmapsEveryHugeChunkWholeAcrossThreads) {
+  // Four threads take 16 MiB each: chunks of 1, 2 and 4 MiB from operator
+  // new, then mapped chunks of 8 and 16 MiB, 124 MiB in all. Each thread
+  // keeps the first and last allocated byte of every chunk it used; a
+  // chunk starts wherever an allocation does not follow its predecessor.
+  constexpr int Threads = 4;
+  const uint32_t Slots = uint32_t(256 * 1024 / sizeof(stm::Word));
+  const size_t ObjBytes = Object::allocationSize(Slots);
+  auto H = std::make_unique<Heap>();
+  std::vector<std::vector<const char *>> Ends(Threads);
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      const char *Prev = nullptr;
+      for (size_t Taken = 0; Taken < 16 * MiB; Taken += ObjBytes) {
+        const char *O = reinterpret_cast<const char *>(
+            H->allocateArray(&IntArrayType, Slots, BirthState::Shared));
+        if (!Prev || O != Prev + ObjBytes) {
+          if (Prev)
+            Ends[T].push_back(Prev + ObjBytes - 1);
+          Ends[T].push_back(O);
+        }
+        Prev = O;
+      }
+      Ends[T].push_back(Prev + ObjBytes - 1);
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_GT(H->bytesAllocated(), 64 * MiB);
+
+  // Chunks 3 and 4 of each thread are its 8 and 16 MiB mappings: probe
+  // their first and last bytes.
+  std::vector<uintptr_t> Probes;
+  for (const auto &E : Ends) {
+    ASSERT_EQ(E.size(), 10u) << "expected 5 chunks per thread";
+    for (unsigned C = 3; C < 5; ++C) {
+      const uintptr_t First = reinterpret_cast<uintptr_t>(E[2 * C]);
+      Probes.push_back(First);
+      Probes.push_back(First + (MiB << C) - 1);
+    }
+  }
+  const uintptr_t Page = uintptr_t(::sysconf(_SC_PAGESIZE));
+  auto Probe = [Page](uintptr_t P) {
+    unsigned char Vec = 0;
+    return ::mincore(reinterpret_cast<void *>(P & ~(Page - 1)), Page,
+                     &Vec) == 0
+               ? 0
+               : errno;
+  };
+  for (uintptr_t P : Probes)
+    ASSERT_EQ(Probe(P), 0) << std::hex << P;
+
+  // Probe right after the unmap, allocating nothing in between, so no
+  // new mapping can land on a probed address.
+  std::vector<int> Errs(Probes.size());
+  H.reset();
+  for (size_t I = 0; I < Probes.size(); ++I)
+    Errs[I] = Probe(Probes[I]);
+  for (size_t I = 0; I < Probes.size(); ++I)
+    EXPECT_EQ(Errs[I], ENOMEM) << std::hex << Probes[I];
 }
 
 /// Property sweep: allocation size covers header plus slots for any count.
